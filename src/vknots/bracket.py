@@ -6,22 +6,17 @@ splice assignments
     <D> = sum_S A^(#A - #B) (-A^2 - A^-2)^(loops(S) - 1)
 
 and the f-polynomial is (-A^3)^(-writhe) <D>.  States are evaluated by
-counting loops with a union-find over the diagram arcs; per-state results
-are aggregated into an (#B, loops) histogram with int64 counts, so the
-hot loop can run in a compiled kernel while the polynomial assembly stays
-exact.  A splice at a positive crossing is orientation-coherent for the
-A choice and incoherent for B; at a negative crossing the two swap.
+counting loops with a union-find over the diagram arcs and aggregated
+into an exact (#B, loops) histogram of Python int counts.  A splice at a
+positive crossing is orientation-coherent for the A choice and
+incoherent for B; at a negative crossing the two swap.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
-
-import numpy as np
 
 from .diagram import (
     Diagram,
@@ -35,15 +30,7 @@ from .diagram import (
 )
 from .laurent import LOOP_FACTOR, LaurentPoly, monomial_pow
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but
-    _HAVE_NUMBA = False  # the pure python path keeps everything working
-
 DEFAULT_MAX_CROSSINGS = 24
-_KERNEL_THRESHOLD = 10  # below this the python loop beats kernel dispatch
 
 
 class TooManyCrossings(DiagramError):
@@ -164,113 +151,32 @@ def state_index(s: State) -> int:
 # ---------------------------------------------------------------------------
 # histogram evaluation
 
-def _hist_python(n_arcs: int, rows, start: int, stop: int, c: int) -> np.ndarray:
-    hist = np.zeros((c + 1, n_arcs + 1), dtype=np.int64)
-    for mask in range(start, stop):
-        loops = _loops_for_mask(n_arcs, rows, mask)
-        hist[bin(mask).count("1"), loops] += 1
+def _state_histogram(d: Diagram) -> dict[tuple[int, int], int]:
+    """The (#B-splices, arc-loop-count) -> count histogram over all 2^c
+    states, with Python int counts so it is exact for every c."""
+    n_arcs, _, rows = _arc_structure(d)
+    hist: dict[tuple[int, int], int] = {}
+    for mask in range(1 << d.crossing_count):
+        key = (mask.bit_count(), _loops_for_mask(n_arcs, rows, mask))
+        hist[key] = hist.get(key, 0) + 1
     return hist
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _hist_kernel(coh, inc, a_coherent, n_arcs, start, stop, hist):  # pragma: no cover
-        c = coh.shape[0]
-        parent = np.empty(n_arcs, np.int32)
-        for mask in range(start, stop):
-            for i in range(n_arcs):
-                parent[i] = i
-            n_b = 0
-            for x in range(c):
-                bit = (mask >> x) & 1
-                n_b += bit
-                if (a_coherent[x] == 1) == (bit == 0):
-                    row = coh[x]
-                else:
-                    row = inc[x]
-                for t in range(2):
-                    a = row[2 * t]
-                    b = row[2 * t + 1]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[b] = a
-            loops = 0
-            for i in range(n_arcs):
-                if parent[i] == i:
-                    loops += 1
-            hist[n_b, loops] += 1
-
-
-def _kernel_arrays(rows):
-    c = len(rows)
-    coh = np.empty((c, 4), dtype=np.int32)
-    inc = np.empty((c, 4), dtype=np.int32)
-    a_coherent = np.empty(c, dtype=np.uint8)
-    for x, (o_in, o_out, u_in, u_out, sign) in enumerate(rows):
-        coh[x] = (o_in, u_out, u_in, o_out)
-        inc[x] = (o_in, u_in, o_out, u_out)
-        a_coherent[x] = 1 if sign > 0 else 0
-    return coh, inc, a_coherent
-
-
-def _state_histogram(d: Diagram, workers: int = 1, engine: Optional[str] = None) -> np.ndarray:
-    """The (#B-splices, arc-loop-count) histogram over all 2^c states."""
-    c = d.crossing_count
-    n_arcs, _, rows = _arc_structure(d)
-    total = 1 << c
-    use_kernel = _HAVE_NUMBA and (engine == "numba" or (engine is None and c >= _KERNEL_THRESHOLD))
-    if engine == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is not importable")
-    bounds = [total * i // max(1, workers) for i in range(max(1, workers) + 1)]
-    ranges = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    if use_kernel:
-        coh, inc, a_coherent = _kernel_arrays(rows)
-
-        def run(rg):
-            hist = np.zeros((c + 1, n_arcs + 1), dtype=np.int64)
-            _hist_kernel(coh, inc, a_coherent, n_arcs, rg[0], rg[1], hist)
-            return hist
-    else:
-
-        def run(rg):
-            return _hist_python(n_arcs, rows, rg[0], rg[1], c)
-
-    if len(ranges) <= 1:
-        parts = [run(rg) for rg in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(run, ranges))
-    out = np.zeros((c + 1, n_arcs + 1), dtype=np.int64)
-    for part in parts:
-        out += part
-    return out
-
-
-def _assemble(c: int, free: int, hist: np.ndarray) -> LaurentPoly:
+def _assemble(c: int, free: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
     if c == 0:
         if free == 0:
             return LaurentPoly.one()  # the empty diagram: multiplicative unit
         return LOOP_FACTOR ** (free - 1)
-    max_loops = hist.shape[1] - 1
+    max_loops = max(loops for _, loops in hist)
     powers = [LaurentPoly.one()]
     for _ in range(max_loops + free):
         powers.append(powers[-1] * LOOP_FACTOR)
     acc: dict[int, int] = {}
-    for n_b in range(hist.shape[0]):
-        for loops in range(hist.shape[1]):
-            count = int(hist[n_b, loops])
-            if not count:
-                continue
-            exponent = c - 2 * n_b
-            for e, coeff in (powers[loops + free - 1]).terms():
-                key = e + exponent
-                acc[key] = acc.get(key, 0) + coeff * count
+    for (n_b, loops), count in hist.items():
+        exponent = c - 2 * n_b
+        for e, coeff in (powers[loops + free - 1]).terms():
+            key = e + exponent
+            acc[key] = acc.get(key, 0) + coeff * count
     return LaurentPoly(acc)
 
 
@@ -282,36 +188,33 @@ def _check_size(d: Diagram, max_crossings: Optional[int]) -> None:
         )
 
 
-def bracket(d: Diagram, max_crossings: Optional[int] = None, engine: Optional[str] = None) -> LaurentPoly:
+def bracket(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The Kauffman bracket, by exact state sum over all 2^c states."""
     _check_size(d, max_crossings)
     _, free, _ = _arc_structure(d)
-    return _assemble(d.crossing_count, free, _state_histogram(d, engine=engine))
+    return _assemble(d.crossing_count, free, _state_histogram(d))
 
 
 def bracket_parallel(
     d: Diagram,
     workers: Optional[int] = None,
     max_crossings: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> LaurentPoly:
     """Same polynomial as :func:`bracket`, bit for bit, for every worker
-    count.  The state range [0, 2^c) is split into contiguous chunks and
-    the integer histograms are summed, so the result does not depend on
-    scheduling."""
-    _check_size(d, max_crossings)
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
-    if workers < 1:
+    count.  ``workers`` is checked, but the state loop is pure Python, so
+    threads would only take turns on the interpreter lock: one thread sums."""
+    if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
+    # not bracket(): a tracer of public calls (perfbench) would count it twice
+    _check_size(d, max_crossings)
     _, free, _ = _arc_structure(d)
-    return _assemble(d.crossing_count, free, _state_histogram(d, workers=workers, engine=engine))
+    return _assemble(d.crossing_count, free, _state_histogram(d))
 
 
-def f_polynomial(d: Diagram, max_crossings: Optional[int] = None, engine: Optional[str] = None) -> LaurentPoly:
+def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The normalized bracket (-A^3)^(-writhe) <D>, invariant under all
     generalized Reidemeister moves."""
-    return monomial_pow(-1, 3, -writhe(d)) * bracket(d, max_crossings, engine)
+    return monomial_pow(-1, 3, -writhe(d)) * bracket(d, max_crossings)
 
 
 def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
@@ -321,14 +224,10 @@ def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
     _, free, _ = _arc_structure(d)
     if c == 0:
         return {(2 * max(free, 1) - 2) % 4}
-    hist = _state_histogram(d)
-    out = set()
-    for n_b in range(hist.shape[0]):
-        for loops in range(hist.shape[1]):
-            if hist[n_b, loops]:
-                exponent = c - 2 * n_b
-                out.add((exponent + 2 * (loops + free) - 2) % 4)
-    return out
+    return {
+        (c - 2 * n_b + 2 * (loops + free) - 2) % 4
+        for n_b, loops in _state_histogram(d)
+    }
 
 
 # ---------------------------------------------------------------------------

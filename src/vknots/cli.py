@@ -33,14 +33,14 @@ from .verify import (
 )
 
 
-def _env_max_crossings() -> int:
-    raw = os.environ.get("VKNOTS_MAX_CROSSINGS")
-    if raw is None:
-        return DEFAULT_MAX_CROSSINGS
+def _positive_int(text: str) -> int:
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        raise SystemExit(f"VKNOTS_MAX_CROSSINGS={raw!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
 
 
 def _looks_like_pd(text: str) -> bool:
@@ -80,21 +80,27 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
+    # a string default (the environment value) goes through type=int, so a
+    # malformed VKNOTS_MAX_CROSSINGS is a usage error like a malformed flag
     p.add_argument(
         "--max-crossings",
         type=int,
-        default=None,
+        default=os.environ.get("VKNOTS_MAX_CROSSINGS", DEFAULT_MAX_CROSSINGS),
         help=f"state-sum size limit (default {DEFAULT_MAX_CROSSINGS}, or VKNOTS_MAX_CROSSINGS)",
     )
-    p.add_argument("--workers", type=int, default=None, help="parallel workers for the state sum")
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="positive worker count; the state sum runs in one thread for every value",
+    )
 
 
 def _poly_cmd(args, normalized: bool) -> int:
-    limit = args.max_crossings if args.max_crossings is not None else _env_max_crossings()
     diagrams = _read_diagrams(args)
     rows = []
     for d in diagrams:
-        poly = bracket_parallel(d, workers=args.workers, max_crossings=limit)
+        poly = bracket_parallel(d, workers=args.workers, max_crossings=args.max_crossings)
         if normalized:
             poly = monomial_pow(-1, 3, -writhe(d)) * poly
         rows.append({"code": serialize(d), "poly": poly})
@@ -108,10 +114,9 @@ def _poly_cmd(args, normalized: bool) -> int:
 
 
 def _check_cmd(args) -> int:
-    limit = args.max_crossings if args.max_crossings is not None else _env_max_crossings()
     out = []
     for d in _read_diagrams(args):
-        f = f_polynomial(d, max_crossings=limit)
+        f = f_polynomial(d, max_crossings=args.max_crossings)
         coloring = checkerboard_colorable(d)
         colorable = coloring is not None
         n = d.component_count
@@ -146,17 +151,17 @@ def _check_cmd(args) -> int:
 
 
 def _verify_cmd(args) -> int:
-    limit = args.max_crossings if args.max_crossings is not None else _env_max_crossings()
     failures = 0
     out = []
     for d in _read_diagrams(args):
-        entry = {"code": serialize(d), "skein": [], "index_spectrum": sorted(index_spectrum(d, limit))}
+        spectrum = sorted(index_spectrum(d, args.max_crossings))
+        entry = {"code": serialize(d), "skein": [], "index_spectrum": spectrum}
         colorable = checkerboard_colorable(d) is not None
         try:
             for cid in range(1, d.crossing_count + 1):
-                rep = skein_identity_check(d, cid, max_crossings=limit)
+                rep = skein_identity_check(d, cid, max_crossings=args.max_crossings)
                 entry["skein"].append(rep.to_json())
-                rec = finite_type_recursion_check(d, cid, order=3, max_crossings=limit)
+                rec = finite_type_recursion_check(d, cid, order=3, max_crossings=args.max_crossings)
                 entry.setdefault("recursion", []).append(rec.to_json())
         except IdentityViolation as exc:
             entry["error"] = str(exc)

@@ -326,12 +326,11 @@ def fuzz_invariance(seed: int, trials: int, max_moves: int = 4, max_crossings: i
             if d.crossing_count >= max_crossings:
                 break
             move, d = random_move(d, rng)
-            f_now = f_polynomial(d)
-            if f_now != f_ref:
-                report.f_mismatches.append(
-                    {"code": serialize(d), "move": move.kind, "expected": str(f_ref), "got": str(f_now)}
-                )
             record = verify_diagram(d)
+            if record.f != f_ref:
+                report.f_mismatches.append(
+                    {"code": serialize(d), "move": move.kind, "expected": str(f_ref), "got": str(record.f)}
+                )
             if not record.ok:
                 report.consistency_failures.append(record.to_json())
             report.moves_applied += 1

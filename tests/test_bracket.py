@@ -152,11 +152,20 @@ def test_bracket_matches_state_sum():
         assert bracket(d) == total
 
 
-def test_engines_agree():
+def test_bracket_matches_region_oracle():
+    """The union-find state sum equals an oracle that counts each state's
+    loops as half the boundary regions of the spliced ribbon graph."""
     rng = random.Random(15)
     for _ in range(20):
         d = random_diagram(rng, rng.randrange(0, 9), components=rng.randrange(1, 3))
-        assert bracket(d, engine="python") == bracket(d, engine="numba")
+        c = d.crossing_count
+        g = build_ald(d)
+        total = LaurentPoly.zero()
+        for bits in itertools.product("AB", repeat=c):
+            choices = {i + 1: b for i, b in enumerate(bits)}
+            loops = boundary_regions(g, splices=choices).region_count // 2
+            total = total + LaurentPoly.monomial(1, c - 2 * bits.count("B")) * LOOP_FACTOR ** (loops - 1)
+        assert bracket(d) == total
 
 
 def test_too_many_crossings():

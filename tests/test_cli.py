@@ -5,7 +5,7 @@ import pytest
 from vknots.cli import main
 from vknots.laurent import LaurentPoly
 
-from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR
+from conftest import TREFOIL, TREFOIL_MIRROR, VIRTUAL_TREFOIL_MIRROR
 
 
 def run(capsys, *argv):
@@ -102,6 +102,20 @@ def test_bad_input_exit_2(capsys):
     code, _, err = run(capsys, "fpoly", "-c", "O1+U2+O1-")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "env, extra",
+    [({}, ["--workers", "0"]), ({"VKNOTS_MAX_CROSSINGS": "abc"}, [])],
+    ids=["workers-zero", "env-limit-not-int"],
+)
+def test_bad_option_exit_2(capsys, monkeypatch, env, extra):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["fpoly", "-c", TREFOIL_MIRROR, *extra])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
