@@ -13,7 +13,9 @@ Rotation convention (counterclockwise slot order per crossing):
     sign -1:  over-in, under-out, over-out, under-in
 
 In this slot order the A-splice always joins slots (0,3) and (1,2) and
-the B-splice joins (0,1) and (2,3), for either sign.  A splice replaces
+the B-splice joins (0,1) and (2,3), for either sign.  ``A_PAIRS`` and
+``B_PAIRS`` are the package's one statement of that splice convention:
+the bracket state sum reads its splices from them too.  A splice replaces
 the vertex 4-cycle of the rotation by the two transpositions of its
 pairing, which is how induced state regions are traced below.
 """
@@ -112,7 +114,6 @@ def build_ald(d: Diagram) -> RibbonGraph:
     """The ribbon graph of the diagram under the rotation convention above."""
     c = d.crossing_count
     signs = [0] * c
-    darts_at: dict[tuple[int, bool, bool], int] = {}
     for comp in d.components:
         for p in comp:
             signs[p.crossing - 1] = p.sign
@@ -144,10 +145,13 @@ def build_ald(d: Diagram) -> RibbonGraph:
     )
 
 
-# splice pairings in slot terms; keys are the successor maps replacing the
-# vertex rotation (the 4-cycle s -> s+1) by two transpositions
-_A_PAIRING = {0: 3, 3: 0, 1: 2, 2: 1}
-_B_PAIRING = {0: 1, 1: 0, 2: 3, 3: 2}
+# the slot pairs each splice joins, for either crossing sign
+A_PAIRS = ((0, 3), (1, 2))
+B_PAIRS = ((0, 1), (2, 3))
+# the same as successor maps, replacing the vertex rotation (the 4-cycle
+# s -> s+1) by the two transpositions of the splice
+_A_PAIRING = {s: t for a, b in A_PAIRS for s, t in ((a, b), (b, a))}
+_B_PAIRING = {s: t for a, b in B_PAIRS for s, t in ((a, b), (b, a))}
 
 
 def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None) -> RegionSet:

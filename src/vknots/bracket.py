@@ -7,9 +7,11 @@ splice assignments
 
 and the f-polynomial is (-A^3)^(-writhe) <D>.  States are evaluated by
 counting loops with a union-find over the diagram arcs and aggregated
-into an exact (#B, loops) histogram of Python int counts.  A splice at a
-positive crossing is orientation-coherent for the A choice and
-incoherent for B; at a negative crossing the two swap.
+into an exact (#B, loops) histogram of Python int counts.  The arcs are
+the bands of the ribbon graph from :func:`vknots.ald.build_ald`, and each
+crossing's row lists the arc pairs its A and its B splice join, read off
+the rotation slots through ``A_PAIRS``/``B_PAIRS``.  The state loop
+therefore has no sign test: the splice rule lives only in ``ald``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .ald import A_PAIRS, B_PAIRS, build_ald
 from .diagram import (
     Diagram,
     DiagramError,
@@ -64,36 +67,27 @@ class State:
         return {i + 1: ch for i, ch in enumerate(self.choices)}
 
 
-def _arc_structure(d: Diagram):
-    """Arc indexing plus per-crossing slot arcs.
+def _splice_rows(d: Diagram):
+    """Arcs and per-crossing splice rows from one ribbon graph.
 
-    Returns (n_arcs, free_loops, crossing rows); each row is
-    (o_in, o_out, u_in, u_out, sign) with arc indices.
+    Returns (n_arcs, free_loops, rows); ``rows[x]`` is the pair (A pairs,
+    B pairs) of arc indices joined at crossing x + 1.
     """
-    arc_index: dict[tuple[int, int], int] = {}
-    free = 0
-    for ci, comp in enumerate(d.components):
-        if not comp:
-            free += 1
-            continue
-        for j in range(len(comp)):
-            arc_index[(ci, j)] = len(arc_index)
-    rows: list[list[int]] = [[0, 0, 0, 0, 0] for _ in range(d.crossing_count)]
-    for ci, comp in enumerate(d.components):
-        m = len(comp)
-        for j, p in enumerate(comp):
-            row = rows[p.crossing - 1]
-            inn = arc_index[(ci, (j - 1) % m)]
-            out = arc_index[(ci, j)]
-            if p.over:
-                row[0], row[1] = inn, out
-            else:
-                row[2], row[3] = inn, out
-            row[4] = p.sign
-    return len(arc_index), free, rows
+    g = build_ald(d)
+    arc_of = [0] * (4 * g.vertex_count)
+    for ei, (tail, head) in enumerate(g.edges):
+        arc_of[tail] = arc_of[head] = ei
+    rows = [
+        tuple(
+            tuple((arc_of[4 * v + s], arc_of[4 * v + t]) for s, t in pairs)
+            for pairs in (A_PAIRS, B_PAIRS)
+        )
+        for v in range(g.vertex_count)
+    ]
+    return g.edge_count, g.free_loops, rows
 
 
-def _loops_for_mask(n_arcs: int, rows: Sequence[Sequence[int]], mask: int) -> int:
+def _loops_for_mask(n_arcs: int, rows: Sequence[Sequence], mask: int) -> int:
     """Loop count among the arcs for the state encoded by mask (bit=1 is B)."""
     parent = list(range(n_arcs))
 
@@ -103,14 +97,8 @@ def _loops_for_mask(n_arcs: int, rows: Sequence[Sequence[int]], mask: int) -> in
             a = parent[a]
         return a
 
-    for x, (o_in, o_out, u_in, u_out, sign) in enumerate(rows):
-        is_b = (mask >> x) & 1
-        coherent = (sign > 0) == (is_b == 0)
-        if coherent:
-            pairs = ((o_in, u_out), (u_in, o_out))
-        else:
-            pairs = ((o_in, u_in), (o_out, u_out))
-        for a, b in pairs:
+    for x, row in enumerate(rows):
+        for a, b in row[(mask >> x) & 1]:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[rb] = ra
@@ -125,14 +113,14 @@ def splice_state(d: Diagram, choices: Mapping[int, str]) -> State:
     for v in choices.values():
         if v not in ("A", "B"):
             raise IncompleteChoices(f"bad splice choice {v!r}")
-    n_arcs, free, rows = _arc_structure(d)
+    n_arcs, free, rows = _splice_rows(d)
     mask = 0
     n_b = 0
     for cid, ch in choices.items():
         if ch == "B":
             mask |= 1 << (cid - 1)
             n_b += 1
-    loops = (_loops_for_mask(n_arcs, rows, mask) if n_arcs else 0) + free
+    loops = _loops_for_mask(n_arcs, rows, mask) + free
     ordered = tuple(choices[i + 1] for i in range(c))
     return State(choices=ordered, loop_count=loops, splice_exponent=c - 2 * n_b)
 
@@ -152,29 +140,27 @@ def state_index(s: State) -> int:
 # histogram evaluation
 
 def _state_histogram(d: Diagram) -> dict[tuple[int, int], int]:
-    """The (#B-splices, arc-loop-count) -> count histogram over all 2^c
-    states, with Python int counts so it is exact for every c."""
-    n_arcs, _, rows = _arc_structure(d)
+    """The (#B-splices, loop count) -> count histogram over all 2^c states,
+    free loops included, with Python int counts so it is exact for every c."""
+    n_arcs, free, rows = _splice_rows(d)
     hist: dict[tuple[int, int], int] = {}
     for mask in range(1 << d.crossing_count):
-        key = (mask.bit_count(), _loops_for_mask(n_arcs, rows, mask))
+        key = (mask.bit_count(), _loops_for_mask(n_arcs, rows, mask) + free)
         hist[key] = hist.get(key, 0) + 1
     return hist
 
 
-def _assemble(c: int, free: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    if c == 0:
-        if free == 0:
-            return LaurentPoly.one()  # the empty diagram: multiplicative unit
-        return LOOP_FACTOR ** (free - 1)
+def _assemble(c: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
     max_loops = max(loops for _, loops in hist)
+    if max_loops == 0:
+        return LaurentPoly.one()  # the empty diagram: multiplicative unit
     powers = [LaurentPoly.one()]
-    for _ in range(max_loops + free):
+    for _ in range(max_loops - 1):
         powers.append(powers[-1] * LOOP_FACTOR)
     acc: dict[int, int] = {}
     for (n_b, loops), count in hist.items():
         exponent = c - 2 * n_b
-        for e, coeff in (powers[loops + free - 1]).terms():
+        for e, coeff in (powers[loops - 1]).terms():
             key = e + exponent
             acc[key] = acc.get(key, 0) + coeff * count
     return LaurentPoly(acc)
@@ -188,11 +174,16 @@ def _check_size(d: Diagram, max_crossings: Optional[int]) -> None:
         )
 
 
+def _bracket(d: Diagram, max_crossings: Optional[int]) -> LaurentPoly:
+    # the shared body of the public entry points, private so that a tracer
+    # of public calls (perfbench) counts one state sum per entry
+    _check_size(d, max_crossings)
+    return _assemble(d.crossing_count, _state_histogram(d))
+
+
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The Kauffman bracket, by exact state sum over all 2^c states."""
-    _check_size(d, max_crossings)
-    _, free, _ = _arc_structure(d)
-    return _assemble(d.crossing_count, free, _state_histogram(d))
+    return _bracket(d, max_crossings)
 
 
 def bracket_parallel(
@@ -205,10 +196,7 @@ def bracket_parallel(
     threads would only take turns on the interpreter lock: one thread sums."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
-    # not bracket(): a tracer of public calls (perfbench) would count it twice
-    _check_size(d, max_crossings)
-    _, free, _ = _arc_structure(d)
-    return _assemble(d.crossing_count, free, _state_histogram(d))
+    return _bracket(d, max_crossings)
 
 
 def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
@@ -221,11 +209,9 @@ def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
     """The set of state indices over all states of the diagram."""
     _check_size(d, max_crossings)
     c = d.crossing_count
-    _, free, _ = _arc_structure(d)
-    if c == 0:
-        return {(2 * max(free, 1) - 2) % 4}
+    # the empty diagram's one state (no loops) counts as the unknot's
     return {
-        (c - 2 * n_b + 2 * (loops + free) - 2) % 4
+        (c - 2 * n_b + 2 * max(loops, 1) - 2) % 4
         for n_b, loops in _state_histogram(d)
     }
 

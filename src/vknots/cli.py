@@ -88,6 +88,9 @@ def _add_limits(p: argparse.ArgumentParser) -> None:
         default=os.environ.get("VKNOTS_MAX_CROSSINGS", DEFAULT_MAX_CROSSINGS),
         help=f"state-sum size limit (default {DEFAULT_MAX_CROSSINGS}, or VKNOTS_MAX_CROSSINGS)",
     )
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=_positive_int,
@@ -155,14 +158,14 @@ def _verify_cmd(args) -> int:
     out = []
     for d in _read_diagrams(args):
         spectrum = sorted(index_spectrum(d, args.max_crossings))
-        entry = {"code": serialize(d), "skein": [], "index_spectrum": spectrum}
+        entry = {"code": serialize(d), "skein": [], "recursion": [], "index_spectrum": spectrum}
         colorable = checkerboard_colorable(d) is not None
         try:
             for cid in range(1, d.crossing_count + 1):
                 rep = skein_identity_check(d, cid, max_crossings=args.max_crossings)
                 entry["skein"].append(rep.to_json())
                 rec = finite_type_recursion_check(d, cid, order=3, max_crossings=args.max_crossings)
-                entry.setdefault("recursion", []).append(rec.to_json())
+                entry["recursion"].append(rec.to_json())
         except IdentityViolation as exc:
             entry["error"] = str(exc)
             failures += 1
@@ -248,11 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpoly", help="print the f-polynomial of each diagram")
     _add_input(p)
     _add_limits(p)
+    _add_workers(p)
     p.set_defaults(func=lambda a: _poly_cmd(a, normalized=True))
 
     p = sub.add_parser("bracket", help="print the Kauffman bracket of each diagram")
     _add_input(p)
     _add_limits(p)
+    _add_workers(p)
     p.set_defaults(func=lambda a: _poly_cmd(a, normalized=False))
 
     p = sub.add_parser("check", help="colorability, alternating-ness and congruence verdict")

@@ -389,24 +389,9 @@ def splice_oriented(d: Diagram, crossing: int) -> Diagram:
     """Remove one crossing, reconnecting the strands coherently with the
     orientation.  The component count changes by exactly one.
     """
-    (oc, oi), (uc, uj) = d.passage_positions(crossing)
-    comps = list(d.components)
-    if oc == uc:
-        comp = comps.pop(oc)
-        a = _cyclic_segment(comp, oi + 1, uj - 1)
-        b = _cyclic_segment(comp, uj + 1, oi - 1)
-        comps.extend([a, b])
-    else:
-        hi, lo = max(oc, uc), min(oc, uc)
-        ocomp, ucomp = d.components[oc], d.components[uc]
-        comps.pop(hi)
-        comps.pop(lo)
-        merged = (
-            list(ocomp[oi + 1:]) + list(ocomp[:oi])
-            + list(ucomp[uj + 1:]) + list(ucomp[:uj])
-        )
-        comps.append(merged)
-    return make_diagram(comps)
+    first, second, rest = _splice_arcs(d, crossing)
+    (oc, _), (uc, _) = d.passage_positions(crossing)
+    return make_diagram(rest + ([second, first] if oc == uc else [second + first]))
 
 
 def splice_disoriented(d: Diagram, crossing: int, reversed_arc: str = "first") -> Diagram:

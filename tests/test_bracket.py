@@ -20,7 +20,12 @@ from vknots.bracket import (
     state_contribution,
     state_index,
 )
-from vknots.diagram import parse_gauss, random_diagram
+from vknots.diagram import (
+    parse_gauss,
+    random_diagram,
+    splice_disoriented,
+    splice_oriented,
+)
 from vknots.laurent import LOOP_FACTOR, LaurentPoly
 
 from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
@@ -117,6 +122,7 @@ def test_bracket_free_unlink_f():
 
 def test_bracket_kink():
     assert bracket(parse_gauss(KINK_PLUS)) == LaurentPoly({3: -1})
+    assert bracket(parse_gauss("O1-U1-")) == LaurentPoly({-3: -1})
 
 
 def test_f_reference_values(trefoil, virtual_trefoil, figure_eight):
@@ -166,6 +172,22 @@ def test_bracket_matches_region_oracle():
             loops = boundary_regions(g, splices=choices).region_count // 2
             total = total + LaurentPoly.monomial(1, c - 2 * bits.count("B")) * LOOP_FACTOR ** (loops - 1)
         assert bracket(d) == total
+
+
+def test_bracket_skein_relation_at_every_crossing():
+    """<D> = A <D_A> + A^-1 <D_B>, with the A and B splices taken from the
+    diagram-level splices rather than from the ribbon graph's slot pairs:
+    the A splice is the oriented one at a positive crossing and the
+    disoriented one at a negative crossing."""
+    rng = random.Random(19)
+    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+    for _ in range(60):
+        d = random_diagram(rng, rng.randrange(1, 7), components=rng.randrange(1, 3))
+        signs = d.signs()
+        for cid in range(1, d.crossing_count + 1):
+            oriented, disoriented = splice_oriented(d, cid), splice_disoriented(d, cid)
+            d_a, d_b = (oriented, disoriented) if signs[cid] > 0 else (disoriented, oriented)
+            assert bracket(d) == a * bracket(d_a) + a_inv * bracket(d_b)
 
 
 def test_too_many_crossings():

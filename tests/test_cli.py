@@ -79,6 +79,13 @@ def test_verify_command(capsys):
     assert "ok" in out
 
 
+def test_verify_json_crossing_free_has_recursion(capsys):
+    code, out, _ = run(capsys, "verify", "-c", "()", "--json")
+    assert code == 0
+    blob = json.loads(out)[0]
+    assert blob["skein"] == [] and blob["recursion"] == []
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "sweep", "--max-crossings", "2", "--json")
     assert code == 0
@@ -105,15 +112,20 @@ def test_bad_input_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "env, extra",
-    [({}, ["--workers", "0"]), ({"VKNOTS_MAX_CROSSINGS": "abc"}, [])],
-    ids=["workers-zero", "env-limit-not-int"],
+    "env, argv",
+    [
+        ({}, ["fpoly", "--workers", "0"]),
+        ({"VKNOTS_MAX_CROSSINGS": "abc"}, ["fpoly"]),
+        ({}, ["check", "--workers", "2"]),
+        ({}, ["verify", "--workers", "2"]),
+    ],
+    ids=["workers-zero", "env-limit-not-int", "check-takes-no-workers", "verify-takes-no-workers"],
 )
-def test_bad_option_exit_2(capsys, monkeypatch, env, extra):
+def test_bad_option_exit_2(capsys, monkeypatch, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
-        main(["fpoly", "-c", TREFOIL_MIRROR, *extra])
+        main([*argv, "-c", TREFOIL_MIRROR])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
