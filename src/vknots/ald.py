@@ -45,17 +45,15 @@ class RibbonGraph:
     """Ribbon graph with one 4-valent vertex per crossing.
 
     Darts are numbered 4*v + slot.  ``alpha`` pairs the two darts of each
-    band (one band per diagram arc); ``edges`` lists the bands in arc
-    order together with their provenance (component, position).  Components
-    of the diagram without any passage become free loops: annuli that
-    carry two regions and one adjacency constraint each.
+    band (one band per diagram arc); ``edges`` lists the bands as (tail,
+    head) dart pairs in arc order.  Components of the diagram without any
+    passage become free loops: annuli that carry two regions and one
+    adjacency constraint each.
     """
 
     vertex_count: int
-    signs: tuple[int, ...]
     alpha: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    edge_arcs: tuple[tuple[int, int], ...]
     free_loops: int
 
     @property
@@ -113,15 +111,10 @@ def _slot(over: bool, outgoing: bool, sign: int) -> int:
 def build_ald(d: Diagram) -> RibbonGraph:
     """The ribbon graph of the diagram under the rotation convention above."""
     c = d.crossing_count
-    signs = [0] * c
-    for comp in d.components:
-        for p in comp:
-            signs[p.crossing - 1] = p.sign
     alpha = [-1] * (4 * c)
     edges: list[tuple[int, int]] = []
-    edge_arcs: list[tuple[int, int]] = []
     free = 0
-    for ci, comp in enumerate(d.components):
+    for comp in d.components:
         m = len(comp)
         if m == 0:
             free += 1
@@ -134,13 +127,10 @@ def build_ald(d: Diagram) -> RibbonGraph:
             alpha[tail] = head
             alpha[head] = tail
             edges.append((tail, head))
-            edge_arcs.append((ci, j))
     return RibbonGraph(
         vertex_count=c,
-        signs=tuple(signs),
         alpha=tuple(alpha),
         edges=tuple(edges),
-        edge_arcs=tuple(edge_arcs),
         free_loops=free,
     )
 

@@ -60,12 +60,6 @@ class State:
     loop_count: int
     splice_exponent: int
 
-    def choice(self, crossing: int) -> str:
-        return self.choices[crossing - 1]
-
-    def as_dict(self) -> dict[int, str]:
-        return {i + 1: ch for i, ch in enumerate(self.choices)}
-
 
 def _splice_rows(d: Diagram):
     """Arcs and per-crossing splice rows from one ribbon graph.
@@ -192,8 +186,9 @@ def bracket_parallel(
     max_crossings: Optional[int] = None,
 ) -> LaurentPoly:
     """Same polynomial as :func:`bracket`, bit for bit, for every worker
-    count.  ``workers`` is checked, but the state loop is pure Python, so
-    threads would only take turns on the interpreter lock: one thread sums."""
+    count; kept for callers that pass ``workers``.  ``workers`` is checked,
+    but the state loop is pure Python, so threads would only take turns on
+    the interpreter lock: one thread sums."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
     return _bracket(d, max_crossings)
@@ -396,10 +391,7 @@ def finite_type_recursion_check(
     f0 = f_polynomial(splice_oriented(d, crossing), max_crossings)
     finf = f_polynomial(splice_disoriented(d, crossing), max_crossings)
     diff = f_plus - f_minus
-    rhs = (
-        LaurentPoly({2: 1, -2: -1}) * f0
-        + monomial_pow(-1, 3, -2 * l) * LaurentPoly({4: 1, -4: -1}) * finf
-    )
+    rhs = _skein_rhs(1, l, f0, finf) - _skein_rhs(-1, l, f0, finf)
     holds = diff == rhs
     if not holds:
         raise IdentityViolation(

@@ -1,6 +1,9 @@
 """Command line front end.
 
-Subcommands: fpoly, bracket, check, verify, sweep, witness, fuzz.
+Subcommands: fpoly, bracket, check, verify, sweep, witness, fuzz.  Each
+prints what a library function returns: ``fpoly`` and ``bracket`` print
+:func:`f_polynomial` and :func:`bracket`, ``check`` prints the record of
+:func:`verify_diagram` and exits on its congruence verdict.
 Exit codes: 0 success, 1 a verified property failed, 2 bad input/usage.
 """
 
@@ -13,34 +16,24 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .ald import checkerboard_colorable, is_alternating
+from .ald import checkerboard_colorable
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
     IdentityViolation,
-    bracket_parallel,
+    bracket,
     f_polynomial,
     finite_type_recursion_check,
     index_spectrum,
     skein_identity_check,
 )
 from .diagram import Diagram, DiagramError, parse_gauss, parse_pd, serialize, writhe
-from .laurent import monomial_pow
 from .verify import (
     EnumSpec,
     find_nonalternating_form_witness,
     fuzz_invariance,
     sweep,
+    verify_diagram,
 )
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
 
 
 def _looks_like_pd(text: str) -> bool:
@@ -90,23 +83,12 @@ def _add_limits(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        help="positive worker count; the state sum runs in one thread for every value",
-    )
-
-
 def _poly_cmd(args, normalized: bool) -> int:
-    diagrams = _read_diagrams(args)
-    rows = []
-    for d in diagrams:
-        poly = bracket_parallel(d, workers=args.workers, max_crossings=args.max_crossings)
-        if normalized:
-            poly = monomial_pow(-1, 3, -writhe(d)) * poly
-        rows.append({"code": serialize(d), "poly": poly})
+    poly_of = f_polynomial if normalized else bracket
+    rows = [
+        {"code": serialize(d), "poly": poly_of(d, args.max_crossings)}
+        for d in _read_diagrams(args)
+    ]
     if args.json:
         key = "f" if normalized else "bracket"
         print(json.dumps([{"code": r["code"], key: r["poly"].to_pairs()} for r in rows]))
@@ -119,25 +101,19 @@ def _poly_cmd(args, normalized: bool) -> int:
 def _check_cmd(args) -> int:
     out = []
     for d in _read_diagrams(args):
-        f = f_polynomial(d, max_crossings=args.max_crossings)
-        coloring = checkerboard_colorable(d)
-        colorable = coloring is not None
-        n = d.component_count
-        congruence = f.congruence_class_mod4()
-        expected = 0 if n % 2 else 2
-        verdict = (not colorable) or congruence == expected
+        record = verify_diagram(d, args.max_crossings)
         out.append(
             {
                 "code": serialize(d),
-                "components": n,
+                "components": d.component_count,
                 "writhe": writhe(d),
-                "colorable": colorable,
-                "alternating": is_alternating(d),
-                "f": f.to_pairs(),
-                "f_text": str(f),
-                "congruence": congruence,
-                "congruence_verdict": verdict,
-                "coloring": coloring.to_json() if coloring else None,
+                "colorable": record.colorable,
+                "alternating": record.alternating,
+                "f": record.f.to_pairs(),
+                "f_text": str(record.f),
+                "congruence": record.congruence,
+                "congruence_verdict": record.congruence_ok,
+                "coloring": record.coloring.to_json() if record.coloring else None,
             }
         )
     if args.json:
@@ -251,13 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpoly", help="print the f-polynomial of each diagram")
     _add_input(p)
     _add_limits(p)
-    _add_workers(p)
     p.set_defaults(func=lambda a: _poly_cmd(a, normalized=True))
 
     p = sub.add_parser("bracket", help="print the Kauffman bracket of each diagram")
     _add_input(p)
     _add_limits(p)
-    _add_workers(p)
     p.set_defaults(func=lambda a: _poly_cmd(a, normalized=False))
 
     p = sub.add_parser("check", help="colorability, alternating-ness and congruence verdict")

@@ -394,13 +394,14 @@ def splice_oriented(d: Diagram, crossing: int) -> Diagram:
     return make_diagram(rest + ([second, first] if oc == uc else [second + first]))
 
 
-def splice_disoriented(d: Diagram, crossing: int, reversed_arc: str = "first") -> Diagram:
-    """Remove one crossing with the orientation-incoherent reconnection.
+def _disoriented_cut(
+    d: Diagram, crossing: int, reversed_arc: str
+) -> tuple[list[Passage], list[Passage], list[tuple[Passage, ...]], frozenset[int]]:
+    """The cut of the disoriented splice at a crossing.
 
-    One of the two arcs produced by cutting at the crossing must be
-    reversed to restore a consistent orientation; ``reversed_arc`` selects
-    which ("first" starts at the outgoing under strand).  Crossings met
-    exactly once by the reversed arc have their sign flipped.
+    Returns (kept arc, reversed arc, untouched components, flipped), where
+    ``flipped`` holds the crossings met exactly once by the reversed arc:
+    the ones whose sign the reversal flips.
     """
     if reversed_arc not in ("first", "second"):
         raise ValueError("reversed_arc must be 'first' or 'second'")
@@ -409,17 +410,23 @@ def splice_disoriented(d: Diagram, crossing: int, reversed_arc: str = "first") -
     counts: dict[int, int] = {}
     for p in flip:
         counts[p.crossing] = counts.get(p.crossing, 0) + 1
-    flipped_ids = {k for k, n in counts.items() if n == 1}
-    merged = list(keep) + [Passage(p.crossing, p.over, p.sign) for p in reversed(flip)]
-    comps = [merged] + [list(c) for c in rest]
-    comps = [
-        [
-            Passage(p.crossing, p.over, -p.sign if p.crossing in flipped_ids else p.sign)
-            for p in comp
-        ]
+    return keep, flip, rest, frozenset(k for k, n in counts.items() if n == 1)
+
+
+def splice_disoriented(d: Diagram, crossing: int, reversed_arc: str = "first") -> Diagram:
+    """Remove one crossing with the orientation-incoherent reconnection.
+
+    One of the two arcs produced by cutting at the crossing must be
+    reversed to restore a consistent orientation; ``reversed_arc`` selects
+    which ("first" starts at the outgoing under strand).  Crossings met
+    exactly once by the reversed arc have their sign flipped.
+    """
+    keep, flip, rest, flipped = _disoriented_cut(d, crossing, reversed_arc)
+    comps = [list(keep) + list(reversed(flip))] + list(rest)
+    return make_diagram(
+        [Passage(p.crossing, p.over, -p.sign if p.crossing in flipped else p.sign) for p in comp]
         for comp in comps
-    ]
-    return make_diagram(comps)
+    )
 
 
 @dataclass(frozen=True)
@@ -449,29 +456,16 @@ def splice_context(d: Diagram, crossing: int, reversed_arc: str = "first") -> Sp
     partition (and k, l individually) depend on the choice; k + l and
     the combination (-A^3)^(-2l) f_inf do not.
     """
-    if reversed_arc not in ("first", "second"):
-        raise ValueError("reversed_arc must be 'first' or 'second'")
-    first, second, _ = _splice_arcs(d, crossing)
-    arc = first if reversed_arc == "first" else second
-    counts: dict[int, int] = {}
-    for p in arc:
-        counts[p.crossing] = counts.get(p.crossing, 0) + 1
+    flipped = _disoriented_cut(d, crossing, reversed_arc)[3]
     signs = d.signs()
-    unchanged, flipped = set(), set()
-    for cid, s in signs.items():
-        if cid == crossing:
-            continue
-        if counts.get(cid, 0) == 1:
-            flipped.add(cid)
-        else:
-            unchanged.add(cid)
+    unchanged = frozenset(signs) - flipped - {crossing}
     return SpliceContext(
         crossing=crossing,
         sign=signs[crossing],
         k=sum(signs[c] for c in unchanged),
         l=sum(signs[c] for c in flipped),
-        unchanged=frozenset(unchanged),
-        flipped=frozenset(flipped),
+        unchanged=unchanged,
+        flipped=flipped,
     )
 
 
@@ -747,24 +741,28 @@ def random_move(d: Diagram, rng: random.Random) -> tuple[MoveKind, Diagram]:
 # ---------------------------------------------------------------------------
 # canonical form and random generation
 
+def _encode(comps: Sequence[Sequence[Passage]]) -> tuple:
+    """Components as (role, id, sign) tuples, role 0 for over, with ids
+    renumbered by first appearance; a diagram's own components encode to
+    its canonical form exactly when it is its orbit's representative."""
+    relabel: dict[int, int] = {}
+    out = []
+    for comp in comps:
+        enc = []
+        for p in comp:
+            if p.crossing not in relabel:
+                relabel[p.crossing] = len(relabel) + 1
+            enc.append((0 if p.over else 1, relabel[p.crossing], p.sign))
+        out.append(tuple(enc))
+    return tuple(out)
+
+
 def canonical_form(d: Diagram) -> tuple:
     """Lexicographically least encoding over component rotations, component
     order and crossing relabeling.  Two diagrams that differ only by those
     choices have equal canonical forms.
     """
     from itertools import permutations
-
-    def encode(comps: list[list[Passage]]) -> tuple:
-        relabel: dict[int, int] = {}
-        out = []
-        for comp in comps:
-            enc = []
-            for p in comp:
-                if p.crossing not in relabel:
-                    relabel[p.crossing] = len(relabel) + 1
-                enc.append((0 if p.over else 1, relabel[p.crossing], p.sign))
-            out.append(tuple(enc))
-        return tuple(out)
 
     best: Optional[tuple] = None
     rotation_sets = [
@@ -775,7 +773,7 @@ def canonical_form(d: Diagram) -> tuple:
     def rec(order: tuple[int, ...], chosen: list[list[Passage]]):
         nonlocal best
         if len(chosen) == len(order):
-            cand = encode(chosen)
+            cand = _encode(chosen)
             if best is None or cand < best:
                 best = cand
             return

@@ -229,9 +229,5 @@ def monomial_pow(base_sign: int, base_exp: int, k: int) -> LaurentPoly:
     return LaurentPoly.monomial(sign, base_exp * k)
 
 
-A = LaurentPoly.monomial(1, 1)
-ONE = LaurentPoly.one()
-ZERO = LaurentPoly.zero()
-
 #: the extra-loop factor (-A^2 - A^-2) from the bracket rules
 LOOP_FACTOR = LaurentPoly({2: -1, -2: -1})

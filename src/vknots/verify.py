@@ -18,12 +18,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .ald import checkerboard_colorable, is_alternating, make_alternating
+from .ald import Coloring, checkerboard_colorable, is_alternating, make_alternating
 from .bracket import f_polynomial
 from .diagram import (
     Diagram,
     DiagramError,
     Passage,
+    _encode,
     canonical_form,
     make_diagram,
     random_diagram,
@@ -152,28 +153,29 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
                     d = make_diagram(comps)
                     if spec.alternating_only and not is_alternating(d):
                         continue
-                    if spec.dedupe == "cyclic-relabel":
-                        encoded = tuple(
-                            tuple((0 if p.over else 1, p.crossing, p.sign) for p in comp)
-                            for comp in d.components
-                        )
-                        if canonical_form(d) != encoded:
-                            continue
+                    if spec.dedupe == "cyclic-relabel" and canonical_form(d) != _encode(d.components):
+                        continue
                     yield d
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Per-diagram verdicts for the three verified properties."""
+    """Per-diagram verdicts for the three verified properties, with the
+    checkerboard coloring that witnesses colorability (None when the
+    diagram is not colorable)."""
 
     diagram: Diagram
-    colorable: bool
+    coloring: Optional[Coloring]
     alternating: bool
     f: LaurentPoly
     congruence: CongruenceClass
     congruence_ok: bool
     alternating_equiv_ok: bool
     unit_eval_ok: bool
+
+    @property
+    def colorable(self) -> bool:
+        return self.coloring is not None
 
     @property
     def ok(self) -> bool:
@@ -192,16 +194,19 @@ class VerificationRecord:
         }
 
 
-def verify_diagram(d: Diagram) -> VerificationRecord:
-    """Evaluate all per-diagram properties.
+def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
+    """Evaluate all per-diagram properties; ``max_crossings`` is the
+    state-sum size limit of :func:`f_polynomial`.
 
+    This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
     colorable ones the f-exponents must share residue 0 mod 4 when the
     component count is odd and 2 when it is even (and f must be nonzero).
     """
-    f = f_polynomial(d)
+    f = f_polynomial(d, max_crossings)
     n = d.component_count
-    colorable = checkerboard_colorable(d) is not None
+    coloring = checkerboard_colorable(d)
+    colorable = coloring is not None
     alternating = is_alternating(d)
     congruence = f.congruence_class_mod4()
     expected = 0 if n % 2 == 1 else 2
@@ -210,7 +215,7 @@ def verify_diagram(d: Diagram) -> VerificationRecord:
     unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
     return VerificationRecord(
         diagram=d,
-        colorable=colorable,
+        coloring=coloring,
         alternating=alternating,
         f=f,
         congruence=congruence,

@@ -73,6 +73,23 @@ def test_check_json(capsys):
     assert blob["congruence_verdict"] is True
 
 
+def test_check_max_crossings(capsys):
+    code, _, err = run(capsys, "check", "--max-crossings", "2", "-c", TREFOIL)
+    assert code == 2
+    assert "exceeds" in err
+
+
+def test_check_json_coloring_iff_colorable(tmp_path, capsys):
+    path = tmp_path / "mixed.gauss"
+    path.write_text("\n\n".join([TREFOIL, VIRTUAL_TREFOIL_MIRROR, "O1+\nU1+", "()\n()"]) + "\n")
+    code, out, _ = run(capsys, "check", "--json", str(path))
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["colorable"] for r in rows] == [True, False, False, True]
+    for r in rows:
+        assert (r["coloring"] is not None) == r["colorable"]
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "-c", TREFOIL)
     assert code == 0
@@ -114,12 +131,19 @@ def test_bad_input_exit_2(capsys):
 @pytest.mark.parametrize(
     "env, argv",
     [
-        ({}, ["fpoly", "--workers", "0"]),
         ({"VKNOTS_MAX_CROSSINGS": "abc"}, ["fpoly"]),
+        ({}, ["fpoly", "--workers", "2"]),
+        ({}, ["bracket", "--workers", "2"]),
         ({}, ["check", "--workers", "2"]),
         ({}, ["verify", "--workers", "2"]),
     ],
-    ids=["workers-zero", "env-limit-not-int", "check-takes-no-workers", "verify-takes-no-workers"],
+    ids=[
+        "env-limit-not-int",
+        "fpoly-takes-no-workers",
+        "bracket-takes-no-workers",
+        "check-takes-no-workers",
+        "verify-takes-no-workers",
+    ],
 )
 def test_bad_option_exit_2(capsys, monkeypatch, env, argv):
     for name, value in env.items():
