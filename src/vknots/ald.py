@@ -15,9 +15,12 @@ Rotation convention (counterclockwise slot order per crossing):
 In this slot order the A-splice always joins slots (0,3) and (1,2) and
 the B-splice joins (0,1) and (2,3), for either sign.  ``A_PAIRS`` and
 ``B_PAIRS`` are the package's one statement of that splice convention:
-the bracket state sum reads its splices from them too.  A splice replaces
-the vertex 4-cycle of the rotation by the two transpositions of its
-pairing, which is how induced state regions are traced below.
+the bracket state sum reads its splices from them too.  ``ORIENTED_SPLICE``
+names the one of the two that reconnects the strands coherently with
+their orientation, derived from the slot rule: A at a positive crossing,
+B at a negative one.  A splice replaces the vertex 4-cycle of the
+rotation by the two transpositions of its pairing, which is how induced
+state regions are traced below.
 """
 
 from __future__ import annotations
@@ -142,6 +145,22 @@ B_PAIRS = ((0, 1), (2, 3))
 # s -> s+1) by the two transpositions of the splice
 _A_PAIRING = {s: t for a, b in A_PAIRS for s, t in ((a, b), (b, a))}
 _B_PAIRING = {s: t for a, b in B_PAIRS for s, t in ((a, b), (b, a))}
+
+
+def _oriented_pairs(sign: int) -> set[frozenset[int]]:
+    """The slot pairs of the oriented splice: each incoming strand end
+    joins the outgoing end of the other strand."""
+    return {
+        frozenset((_slot(over, False, sign), _slot(not over, True, sign)))
+        for over in (True, False)
+    }
+
+
+# the splice, "A" or "B", that is the oriented one at a crossing of each sign
+ORIENTED_SPLICE = {
+    sign: "A" if _oriented_pairs(sign) == {frozenset(p) for p in A_PAIRS} else "B"
+    for sign in (1, -1)
+}
 
 
 def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None) -> RegionSet:

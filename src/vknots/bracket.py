@@ -5,13 +5,18 @@ splice assignments
 
     <D> = sum_S A^(#A - #B) (-A^2 - A^-2)^(loops(S) - 1)
 
-and the f-polynomial is (-A^3)^(-writhe) <D>.  States are evaluated by
-counting loops with a union-find over the diagram arcs and aggregated
-into an exact (#B, loops) histogram of Python int counts.  The arcs are
-the bands of the ribbon graph from :func:`vknots.ald.build_ald`, and each
-crossing's row lists the arc pairs its A and its B splice join, read off
-the rotation slots through ``A_PAIRS``/``B_PAIRS``.  The state loop
-therefore has no sign test: the splice rule lives only in ``ald``.
+and the f-polynomial is (-A^3)^(-writhe) <D>.  The sum leaves one
+crossing open: one union-find over the diagram arcs per state of the
+other c - 1 crossings, 2^(c-1) in all, counts that state's loops, and
+the open crossing is then closed both ways from the roots of its arcs.
+This gives two exact (#B, loops) histograms of Python int counts, those
+of the A and the B splice at the open crossing, so that one sum yields
+<D_A> and <D_B> and, by Kauffman's relation <D> = A<D_A> + A^-1<D_B>,
+<D> itself.  The arcs are the bands of the ribbon graph from
+:func:`vknots.ald.build_ald`, and each crossing's row lists the arc
+pairs its A and its B splice join, read off the rotation slots through
+``A_PAIRS``/``B_PAIRS``.  The state loop therefore has no sign test: the
+splice rule lives only in ``ald``.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .ald import A_PAIRS, B_PAIRS, build_ald
+from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, build_ald
 from .diagram import (
     Diagram,
     DiagramError,
     SpliceContext,
-    crossing_change,
     splice_context,
     splice_disoriented,
     splice_oriented,
@@ -81,19 +85,20 @@ def _splice_rows(d: Diagram):
     return g.edge_count, g.free_loops, rows
 
 
+def _find(parent: list[int], a: int) -> int:
+    """The root of arc a in a union-find forest, halving the path to it."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def _loops_for_mask(n_arcs: int, rows: Sequence[Sequence], mask: int) -> int:
     """Loop count among the arcs for the state encoded by mask (bit=1 is B)."""
     parent = list(range(n_arcs))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for x, row in enumerate(rows):
         for a, b in row[(mask >> x) & 1]:
-            ra, rb = find(a), find(b)
+            ra, rb = _find(parent, a), _find(parent, b)
             if ra != rb:
                 parent[rb] = ra
     return sum(1 for i in range(n_arcs) if parent[i] == i)
@@ -133,14 +138,55 @@ def state_index(s: State) -> int:
 # ---------------------------------------------------------------------------
 # histogram evaluation
 
+def _open_histograms(
+    n_arcs: int, free: int, rows: Sequence[Sequence], x: int
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """The (#B-splices, loop count) -> count histograms of the A and the B
+    splice at crossing x + 1, over the 2^(c-1) states of the others.
+
+    #B counts the B splices among the other crossings, and loop counts
+    include the free loops.  Each state runs one union-find over the arcs,
+    whose loops are the arcs less its successful unions.  Crossing x + 1 is
+    then closed both ways from the roots of its arcs: a pair joins two
+    loops unless its ends already share one, and the second pair also
+    fails when it repeats the two roots the first just joined.
+    """
+    others = rows[:x] + rows[x + 1:]
+    closings = rows[x]
+    ends = {a for pair in closings[0] for a in pair}
+    hists: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
+    for mask in range(1 << len(others)):
+        parent = list(range(n_arcs))
+        loops = n_arcs + free
+        bits = mask
+        for row in others:
+            for a, b in row[bits & 1]:
+                ra, rb = _find(parent, a), _find(parent, b)
+                if ra != rb:
+                    parent[rb] = ra
+                    loops -= 1
+            bits >>= 1
+        root = {a: _find(parent, a) for a in ends}
+        n_b = mask.bit_count()
+        for hist, ((p, q), (r, s)) in zip(hists, closings):
+            p, q, r, s = root[p], root[q], root[r], root[s]
+            key = (n_b, loops - (p != q) - (r != s and {r, s} != {p, q}))
+            hist[key] = hist.get(key, 0) + 1
+    return hists
+
+
 def _state_histogram(d: Diagram) -> dict[tuple[int, int], int]:
     """The (#B-splices, loop count) -> count histogram over all 2^c states,
-    free loops included, with Python int counts so it is exact for every c."""
+    free loops included, with Python int counts so it is exact for every c.
+    The last crossing is left open and its B side is counted at #B + 1."""
     n_arcs, free, rows = _splice_rows(d)
-    hist: dict[tuple[int, int], int] = {}
-    for mask in range(1 << d.crossing_count):
-        key = (mask.bit_count(), _loops_for_mask(n_arcs, rows, mask) + free)
-        hist[key] = hist.get(key, 0) + 1
+    if not rows:
+        return {(0, free): 1}
+    hist_a, hist_b = _open_histograms(n_arcs, free, rows, len(rows) - 1)
+    hist = dict(hist_a)
+    for (n_b, loops), count in hist_b.items():
+        key = (n_b + 1, loops)
+        hist[key] = hist.get(key, 0) + count
     return hist
 
 
@@ -168,6 +214,29 @@ def _check_size(d: Diagram, max_crossings: Optional[int]) -> None:
         )
 
 
+def _open_crossing(
+    d: Diagram, crossing: int, max_crossings: Optional[int]
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """<D>, <D> with ``crossing`` changed, and the brackets of the oriented
+    and the disoriented splice there, from one state sum that leaves the
+    crossing open.
+
+    With <D_A> and <D_B> the brackets of its A and B splices, Kauffman's
+    relation gives <D> = A<D_A> + A^-1<D_B>; a crossing change swaps the
+    A and the B splice, and ``ald.ORIENTED_SPLICE`` says which of them is
+    the oriented one.
+    """
+    _check_size(d, max_crossings)
+    d.passage_positions(crossing)  # raises UnknownCrossing
+    c = d.crossing_count
+    hists = _open_histograms(*_splice_rows(d), crossing - 1)
+    br_a, br_b = (_assemble(c - 1, hist) for hist in hists)
+    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+    oriented_is_a = ORIENTED_SPLICE[d.signs()[crossing]] == "A"
+    br_0, br_inf = (br_a, br_b) if oriented_is_a else (br_b, br_a)
+    return a * br_a + a_inv * br_b, a * br_b + a_inv * br_a, br_0, br_inf
+
+
 def _bracket(d: Diagram, max_crossings: Optional[int]) -> LaurentPoly:
     # the shared body of the public entry points, private so that a tracer
     # of public calls (perfbench) counts one state sum per entry
@@ -176,7 +245,8 @@ def _bracket(d: Diagram, max_crossings: Optional[int]) -> LaurentPoly:
 
 
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
-    """The Kauffman bracket, by exact state sum over all 2^c states."""
+    """The Kauffman bracket, by exact state sum over all 2^c states (2^(c-1)
+    union-finds, each closed two ways at the last crossing)."""
     return _bracket(d, max_crossings)
 
 
@@ -194,10 +264,15 @@ def bracket_parallel(
     return _bracket(d, max_crossings)
 
 
+def _normalize(w: int, br: LaurentPoly) -> LaurentPoly:
+    # the f-polynomial of a diagram of writhe w and bracket br
+    return monomial_pow(-1, 3, -w) * br
+
+
 def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The normalized bracket (-A^3)^(-writhe) <D>, invariant under all
     generalized Reidemeister moves."""
-    return monomial_pow(-1, 3, -writhe(d)) * bracket(d, max_crossings)
+    return _normalize(writhe(d), bracket(d, max_crossings))
 
 
 def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
@@ -256,19 +331,25 @@ def _skein_rhs(sign: int, l: int, f0: LaurentPoly, finf: LaurentPoly) -> Laurent
 def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int] = None) -> SkeinReport:
     """Verify the splice identity at one crossing, exactly.
 
-    The disoriented splice depends on which arc is reversed: k, l and the
-    resulting writhe are per-choice data, but (-A^3)^(-2l) f_inf does not
-    depend on the choice, so the identity must hold for both matched
-    (l, f_inf) pairs.  A failure raises IdentityViolation since the
-    identity holds for every diagram; the report carries the first-arc
-    numbers.
+    One state sum over the other crossings, with this one left open,
+    gives <D> and the brackets of both splices (see ``_open_crossing``).
+    Each f takes its writhe from the diagram-level splice: ``d``,
+    ``splice_oriented`` and ``splice_disoriented``.  The disoriented
+    splice depends on which arc is reversed: k, l and the resulting writhe
+    are per-choice data, but (-A^3)^(-2l) f_inf does not depend on the
+    choice, so the identity must hold for both matched (l, f_inf) pairs.
+    Both sides are assembled separately and compared exactly.  A failure
+    raises IdentityViolation since the identity holds for every diagram;
+    the report carries the first-arc numbers.  ``max_crossings`` limits
+    the crossings of ``d``.
     """
-    f = f_polynomial(d, max_crossings)
-    f0 = f_polynomial(splice_oriented(d, crossing), max_crossings)
+    br, _, br_0, br_inf = _open_crossing(d, crossing, max_crossings)
+    f = _normalize(writhe(d), br)
+    f0 = _normalize(writhe(splice_oriented(d, crossing)), br_0)
     results = []
     for arc in ("first", "second"):
         ctx = splice_context(d, crossing, reversed_arc=arc)
-        finf = f_polynomial(splice_disoriented(d, crossing, arc), max_crossings)
+        finf = _normalize(writhe(splice_disoriented(d, crossing, arc)), br_inf)
         results.append((ctx, finf, _skein_rhs(ctx.sign, ctx.l, f0, finf)))
     tail1 = monomial_pow(-1, 3, -2 * results[0][0].l) * results[0][1]
     tail2 = monomial_pow(-1, 3, -2 * results[1][0].l) * results[1][1]
@@ -381,15 +462,22 @@ def finite_type_recursion_check(
     """Check the finite-type recursion for the crossing-switch difference
     at one crossing.  The exact difference identity is asserted (it is a
     theorem); the series formula is reported under both l conventions.
+
+    One state sum with the crossing left open gives the brackets of ``d``,
+    of ``d`` with the crossing changed (writhe less twice the sign) and of
+    both splices (see ``_open_crossing``); the splices' writhes come from
+    ``splice_oriented`` and ``splice_disoriented``.  ``max_crossings``
+    limits the crossings of ``d``.
     """
     ctx = splice_context(d, crossing)
     l = ctx.l
-    d_plus = d if ctx.sign > 0 else crossing_change(d, crossing)
-    d_minus = crossing_change(d, crossing) if ctx.sign > 0 else d
-    f_plus = f_polynomial(d_plus, max_crossings)
-    f_minus = f_polynomial(d_minus, max_crossings)
-    f0 = f_polynomial(splice_oriented(d, crossing), max_crossings)
-    finf = f_polynomial(splice_disoriented(d, crossing), max_crossings)
+    br, br_changed, br_0, br_inf = _open_crossing(d, crossing, max_crossings)
+    w = writhe(d)
+    f_d = _normalize(w, br)
+    f_changed = _normalize(w - 2 * ctx.sign, br_changed)
+    f_plus, f_minus = (f_d, f_changed) if ctx.sign > 0 else (f_changed, f_d)
+    f0 = _normalize(writhe(splice_oriented(d, crossing)), br_0)
+    finf = _normalize(writhe(splice_disoriented(d, crossing)), br_inf)
     diff = f_plus - f_minus
     rhs = _skein_rhs(1, l, f0, finf) - _skein_rhs(-1, l, f0, finf)
     holds = diff == rhs

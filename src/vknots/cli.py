@@ -3,7 +3,8 @@
 Subcommands: fpoly, bracket, check, verify, sweep, witness, fuzz.  Each
 prints what a library function returns: ``fpoly`` and ``bracket`` print
 :func:`f_polynomial` and :func:`bracket`, ``check`` prints the record of
-:func:`verify_diagram` and exits on its congruence verdict.
+:func:`verify_diagram` and exits on its congruence verdict, and ``verify``
+prints the skein reports and the verdict of :func:`verify_index_spectrum`.
 Exit codes: 0 success, 1 a verified property failed, 2 bad input/usage.
 """
 
@@ -16,14 +17,12 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .ald import checkerboard_colorable
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
     IdentityViolation,
     bracket,
     f_polynomial,
     finite_type_recursion_check,
-    index_spectrum,
     skein_identity_check,
 )
 from .diagram import Diagram, DiagramError, parse_gauss, parse_pd, serialize, writhe
@@ -33,6 +32,7 @@ from .verify import (
     fuzz_invariance,
     sweep,
     verify_diagram,
+    verify_index_spectrum,
 )
 
 
@@ -133,9 +133,8 @@ def _verify_cmd(args) -> int:
     failures = 0
     out = []
     for d in _read_diagrams(args):
-        spectrum = sorted(index_spectrum(d, args.max_crossings))
+        spectrum, colorable, singleton_ok = verify_index_spectrum(d, args.max_crossings)
         entry = {"code": serialize(d), "skein": [], "recursion": [], "index_spectrum": spectrum}
-        colorable = checkerboard_colorable(d) is not None
         try:
             for cid in range(1, d.crossing_count + 1):
                 rep = skein_identity_check(d, cid, max_crossings=args.max_crossings)
@@ -145,7 +144,6 @@ def _verify_cmd(args) -> int:
         except IdentityViolation as exc:
             entry["error"] = str(exc)
             failures += 1
-        singleton_ok = (not colorable) or len(entry["index_spectrum"]) == 1
         entry["colorable"] = colorable
         entry["index_singleton_ok"] = singleton_ok
         if not singleton_ok:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
@@ -78,7 +79,7 @@ class Passage(NamedTuple):
         return f"{'O' if self.over else 'U'}{self.crossing}{'+' if self.sign > 0 else '-'}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     """An immutable virtual link diagram.
 
@@ -122,6 +123,13 @@ class Diagram:
         return serialize(self)
 
 
+@cache
+def _passage(crossing: int, over: bool, sign: int) -> Passage:
+    # one shared tuple per distinct passage: diagrams are immutable and
+    # renumbered 1..c, so every diagram draws on the same few passages
+    return Passage(crossing, over, sign)
+
+
 def _normalize_ids(components: Iterable[Sequence[Passage]]) -> tuple[tuple[Passage, ...], ...]:
     relabel: dict[int, int] = {}
     out = []
@@ -130,7 +138,7 @@ def _normalize_ids(components: Iterable[Sequence[Passage]]) -> tuple[tuple[Passa
         for p in comp:
             if p.crossing not in relabel:
                 relabel[p.crossing] = len(relabel) + 1
-            new.append(Passage(relabel[p.crossing], p.over, p.sign))
+            new.append(_passage(relabel[p.crossing], p.over, p.sign))
         out.append(tuple(new))
     return tuple(out)
 

@@ -5,9 +5,11 @@ The harness machine-checks, over every enumerated diagram: the exponent
 congruence of the f-polynomial for checkerboard-colorable diagrams
 (exponents all 0 mod 4 for odd component counts, all 2 mod 4 for even),
 the equivalence between colorability and being crossing-changeable to an
-alternating diagram, and the evaluation f(1) = (-2)^(n-1).  It can also
-search the enumeration for alternating diagrams whose f-polynomial is
-not of alternating form, and fuzz move invariance.
+alternating diagram, and the evaluation f(1) = (-2)^(n-1).
+:func:`verify_index_spectrum` checks per diagram that a colorable diagram
+has a single state index.  The harness can also search the enumeration
+for alternating diagrams whose f-polynomial is not of alternating form,
+and fuzz move invariance.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .ald import Coloring, checkerboard_colorable, is_alternating, make_alternating
-from .bracket import f_polynomial
+from .bracket import f_polynomial, index_spectrum
 from .diagram import (
     Diagram,
     DiagramError,
@@ -225,6 +227,18 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     )
 
 
+def verify_index_spectrum(
+    d: Diagram, max_crossings: Optional[int] = None
+) -> tuple[list[int], bool, bool]:
+    """(sorted state-index spectrum, colorable, verdict): the package's one
+    statement of the index-spectrum verdict, that a checkerboard colorable
+    diagram has a single state index.  ``max_crossings`` is the state-sum
+    size limit of :func:`index_spectrum`."""
+    spectrum = sorted(index_spectrum(d, max_crossings))
+    colorable = checkerboard_colorable(d) is not None
+    return spectrum, colorable, not colorable or len(spectrum) == 1
+
+
 @dataclass
 class SweepSummary:
     total: int = 0
@@ -354,4 +368,5 @@ __all__ = [
     "fuzz_invariance",
     "sweep",
     "verify_diagram",
+    "verify_index_spectrum",
 ]

@@ -21,8 +21,10 @@ from vknots.bracket import (
     state_index,
 )
 from vknots.diagram import (
+    crossing_change,
     parse_gauss,
     random_diagram,
+    splice_context,
     splice_disoriented,
     splice_oriented,
 )
@@ -33,6 +35,9 @@ from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
 F_TREFOIL = LaurentPoly({4: 1, 12: 1, 16: -1})
 F_VIRTUAL_TREFOIL = LaurentPoly({4: 1, 6: 1, 10: -1})
 F_FIGURE_EIGHT = LaurentPoly({-8: 1, -4: -1, 0: 1, 4: -1, 8: 1})
+# kinks (an arc from the crossing back to itself) at the crossing a state
+# sum leaves open, with and without free loops
+KINK_CASES = ("O1+U1+", "O1-U1-", "O1+U1+O2-U2-", "O1-U1-\n()", "O1+U1+O2-U2-\n()\n()")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +151,7 @@ def test_bracket_matches_state_sum():
     """Double-entry: the histogram bracket equals the termwise sum of
     state contributions computed through the public state API."""
     rng = random.Random(14)
-    diagrams = [parse_gauss(TREFOIL), parse_gauss(VIRTUAL_TREFOIL)] + [
+    diagrams = [parse_gauss(code) for code in (TREFOIL, VIRTUAL_TREFOIL) + KINK_CASES] + [
         random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3))
         for _ in range(20)
     ]
@@ -197,6 +202,13 @@ def test_too_many_crossings():
         bracket(d, max_crossings=6)
     with pytest.raises(TooManyCrossings):
         f_polynomial(d, max_crossings=6)
+    # the skein checks sum over the other crossings, but the limit is on d
+    with pytest.raises(TooManyCrossings):
+        skein_identity_check(d, 1, max_crossings=6)
+    with pytest.raises(TooManyCrossings):
+        finite_type_recursion_check(d, 1, order=1, max_crossings=6)
+    assert skein_identity_check(d, 1, max_crossings=7).holds
+    assert finite_type_recursion_check(d, 1, order=1, max_crossings=7).difference_identity_holds
 
 
 def test_bracket_parallel_deterministic(trefoil):
@@ -260,6 +272,41 @@ def test_skein_identity_random():
         assert report.holds
         nonzero_l += report.l != 0
     assert nonzero_l >= 10
+
+
+def _open_crossing_cases():
+    rng = random.Random(22)
+    return [parse_gauss(code) for code in KINK_CASES + ("O1+U1+\n()", "()\n()")] + [
+        random_diagram(rng, rng.randrange(0, 9), components=rng.randrange(1, 4))
+        for _ in range(200)
+    ]
+
+
+def test_skein_checks_match_separate_state_sums():
+    """Oracle for the open-crossing state sum of the skein checks: at every
+    crossing, each f of the skein report equals f_polynomial of the
+    diagram-level diagram it stands for, and the difference identity of
+    the recursion report holds for f_polynomial of the crossing change."""
+    a2 = LaurentPoly({2: 1, -2: -1})
+    a4 = LaurentPoly({4: 1, -4: -1})
+    checked = 0
+    for d in _open_crossing_cases():
+        f = f_polynomial(d)
+        signs = d.signs()
+        for cid in range(1, d.crossing_count + 1):
+            report = skein_identity_check(d, cid)
+            f0 = f_polynomial(splice_oriented(d, cid))
+            finf = f_polynomial(splice_disoriented(d, cid))
+            assert (report.f, report.f_oriented, report.f_disoriented) == (f, f0, finf)
+            rec = finite_type_recursion_check(d, cid, order=0)
+            assert rec.difference_identity_holds
+            assert rec.l == splice_context(d, cid).l
+            changed = f_polynomial(crossing_change(d, cid))
+            diff = f - changed if signs[cid] > 0 else changed - f
+            tail = LaurentPoly({-6 * rec.l: 1}) * a4 * finf  # (-A^3)^(-2l) = A^(-6l)
+            assert diff == a2 * f0 + tail
+            checked += 1
+    assert checked > 800
 
 
 def test_skein_report_json(virtual_trefoil_mirror):

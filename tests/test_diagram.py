@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vknots.diagram import (
     BadDegree,
     DanglingCrossing,
+    DiagramError,
     MalformedToken,
     OpenStrand,
     Passage,
@@ -96,6 +99,72 @@ def test_parser_fuzz_never_malformed():
             assert len(ps) == 2
             assert ps[0].over != ps[1].over
             assert ps[0].sign == ps[1].sign
+
+
+# parser properties: bounded examples, so tier-1 keeps its time margin
+PARSER_PROPERTY = settings(max_examples=300, deadline=None)
+
+diagrams = st.builds(
+    lambda seed, c, n: random_diagram(random.Random(seed), c, n),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+def _edit(text: str, edits: list) -> str:
+    """Apply (position, replacement, deleted length) edits to text."""
+    for pos, insert, drop in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + insert + text[pos + drop:]
+    return text
+
+
+_EDITS = st.lists(
+    st.tuples(st.integers(0, 200), st.text("OUXV[],+-()#0123456789 \n", max_size=3), st.integers(0, 3)),
+    min_size=1,
+    max_size=4,
+)
+_PD_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from("XV"),
+        st.lists(st.integers(0, 9), min_size=4, max_size=4),
+        st.sampled_from(["+", "-", ""]),
+    ),
+    max_size=6,
+).map(lambda recs: " ".join(f"{k}[{','.join(map(str, ls))}]{s}" for k, ls, s in recs))
+
+
+def _parses_or_diagram_error(parse, text: str) -> None:
+    try:
+        parse(text)
+    except DiagramError:
+        pass
+
+
+@PARSER_PROPERTY
+@given(diagrams)
+def test_parse_gauss_inverts_serialize(d):
+    assert parse_gauss(serialize(d)) == d
+
+
+@PARSER_PROPERTY
+@given(st.one_of(
+    st.text("OU0123456789+-()# \n\t", max_size=40),
+    st.builds(lambda d, edits: _edit(serialize(d), edits), diagrams, _EDITS),
+))
+def test_malformed_gauss_raises_diagram_error_only(text):
+    _parses_or_diagram_error(parse_gauss, text)
+
+
+@PARSER_PROPERTY
+@given(st.one_of(
+    st.text("XV[],+-0123456789 \n#", max_size=60),
+    _PD_RECORDS,
+    st.builds(_edit, _PD_RECORDS, _EDITS),
+))
+def test_malformed_pd_raises_diagram_error_only(text):
+    _parses_or_diagram_error(parse_pd, text)
 
 
 # ---------------------------------------------------------------------------

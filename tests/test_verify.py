@@ -13,6 +13,7 @@ from vknots.verify import (
     fuzz_invariance,
     sweep,
     verify_diagram,
+    verify_index_spectrum,
 )
 
 from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR
@@ -112,6 +113,13 @@ def test_verify_diagram_unlink():
     assert record.congruence == 2
     assert record.f.evaluate_at_one() == -2
     assert record.ok
+
+
+def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
+    spectrum, colorable, ok = verify_index_spectrum(trefoil)
+    assert (len(spectrum), colorable, ok) == (1, True, True)
+    # not colorable: the verdict holds whatever the spectrum
+    assert verify_index_spectrum(virtual_trefoil_mirror) == ([0, 2], False, True)
 
 
 def test_sweep_small_ranges():
