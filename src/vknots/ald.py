@@ -49,14 +49,17 @@ class RibbonGraph:
 
     Darts are numbered 4*v + slot.  ``alpha`` pairs the two darts of each
     band (one band per diagram arc); ``edges`` lists the bands as (tail,
-    head) dart pairs in arc order.  Components of the diagram without any
-    passage become free loops: annuli that carry two regions and one
-    adjacency constraint each.
+    head) dart pairs in arc order, and ``band_of_dart`` maps each dart to
+    the index of its band in ``edges``, so the bands at vertex v are
+    ``band_of_dart[4*v:4*v + 4]`` in slot order.  Components of the
+    diagram without any passage become free loops: annuli that carry two
+    regions and one adjacency constraint each.
     """
 
     vertex_count: int
     alpha: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    band_of_dart: tuple[int, ...]
     free_loops: int
 
     @property
@@ -115,6 +118,7 @@ def build_ald(d: Diagram) -> RibbonGraph:
     """The ribbon graph of the diagram under the rotation convention above."""
     c = d.crossing_count
     alpha = [-1] * (4 * c)
+    band_of = [-1] * (4 * c)
     edges: list[tuple[int, int]] = []
     free = 0
     for comp in d.components:
@@ -129,11 +133,13 @@ def build_ald(d: Diagram) -> RibbonGraph:
             head = 4 * (q.crossing - 1) + _slot(q.over, False, q.sign)
             alpha[tail] = head
             alpha[head] = tail
+            band_of[tail] = band_of[head] = len(edges)
             edges.append((tail, head))
     return RibbonGraph(
         vertex_count=c,
         alpha=tuple(alpha),
         edges=tuple(edges),
+        band_of_dart=tuple(band_of),
         free_loops=free,
     )
 
@@ -141,10 +147,20 @@ def build_ald(d: Diagram) -> RibbonGraph:
 # the slot pairs each splice joins, for either crossing sign
 A_PAIRS = ((0, 3), (1, 2))
 B_PAIRS = ((0, 1), (2, 3))
-# the same as successor maps, replacing the vertex rotation (the 4-cycle
-# s -> s+1) by the two transpositions of the splice
-_A_PAIRING = {s: t for a, b in A_PAIRS for s, t in ((a, b), (b, a))}
-_B_PAIRING = {s: t for a, b in B_PAIRS for s, t in ((a, b), (b, a))}
+
+
+def _partners(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The successor map of a splice, slot to slot: the two transpositions
+    of its pairs, which replace the vertex rotation (the 4-cycle s -> s+1)."""
+    partner = [0] * 4
+    for s, t in pairs:
+        partner[s], partner[t] = t, s
+    return tuple(partner)
+
+
+_ROTATION = (1, 2, 3, 0)
+_A_PAIRING = _partners(A_PAIRS)
+_B_PAIRING = _partners(B_PAIRS)
 
 
 def _oriented_pairs(sign: int) -> set[frozenset[int]]:
@@ -172,30 +188,27 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
     exactly one walk; the two darts of an edge give its two sides.
     """
     n = 4 * g.vertex_count
-    dart_edge: dict[int, tuple[int, int]] = {}
-    for ei, (t, h) in enumerate(g.edges):
-        dart_edge[t] = (ei, 0)
-        dart_edge[h] = (ei, 1)
-
-    def successor(dart: int) -> int:
-        d2 = g.alpha[dart]
-        v, s = divmod(d2, 4)
-        if splices and (v + 1) in splices:
-            pairing = _A_PAIRING if splices[v + 1] == "A" else _B_PAIRING
-            return 4 * v + pairing[s]
-        return 4 * v + (s + 1) % 4
+    alpha, band_of, edges = g.alpha, g.band_of_dart, g.edges
+    steps = [
+        _ROTATION if not splices or v + 1 not in splices
+        else _A_PAIRING if splices[v + 1] == "A" else _B_PAIRING
+        for v in range(g.vertex_count)
+    ]
+    # turn[dart]: the dart a walk leaves by after arriving at ``dart``
+    turn = [4 * v + t for v, step in enumerate(steps) for t in step]
 
     region_of = [-1] * n
     regions: list[tuple[tuple[int, int], ...]] = []
     for start in range(n):
-        if region_of[start] != -1 or g.alpha[start] == -1:
+        if region_of[start] != -1 or alpha[start] == -1:
             continue
         cycle = []
         dart = start
         while region_of[dart] == -1:
             region_of[dart] = len(regions)
-            cycle.append(dart_edge[dart])
-            dart = successor(dart)
+            ei = band_of[dart]
+            cycle.append((ei, 0 if edges[ei][0] == dart else 1))
+            dart = turn[alpha[dart]]
         regions.append(tuple(cycle))
     constraints = []
     for ei, (t, h) in enumerate(g.edges):
@@ -244,7 +257,13 @@ def _two_color(regions: RegionSet) -> Optional[list[str]]:
 def checkerboard_colorable(d: Diagram) -> Optional[Coloring]:
     """A checkerboard coloring of the associated abstract link diagram,
     or None when no such coloring exists."""
-    regions = boundary_regions(build_ald(d))
+    return _checkerboard_coloring(build_ald(d))
+
+
+def _checkerboard_coloring(g: RibbonGraph) -> Optional[Coloring]:
+    # the body of checkerboard_colorable, for callers that already hold
+    # the ribbon graph
+    regions = boundary_regions(g)
     colors = _two_color(regions)
     if colors is None:
         return None

@@ -14,18 +14,24 @@ of the A and the B splice at the open crossing, so that one sum yields
 <D_A> and <D_B> and, by Kauffman's relation <D> = A<D_A> + A^-1<D_B>,
 <D> itself.  The arcs are the bands of the ribbon graph from
 :func:`vknots.ald.build_ald`, and each crossing's row lists the arc
-pairs its A and its B splice join, read off the rotation slots through
-``A_PAIRS``/``B_PAIRS``.  The state loop therefore has no sign test: the
-splice rule lives only in ``ald``.
+pairs its A and its B splice join, read off the rotation slots of its
+four bands (``band_of_dart``) through ``A_PAIRS``/``B_PAIRS``.  The
+state loop therefore has no sign test: the splice rule lives only in
+``ald``.  A histogram is assembled in closed form, with no polynomial
+products: (-A^2 - A^-2)^k = (-1)^k sum_j C(k, j) A^(2k - 4j), and the
+writhe factor (-A^3)^(-w) is a shift by -3w and a sign.  Callers that
+already hold a diagram's ribbon graph (``verify``) pass it to the
+private bodies of the state sum, so it is built once per diagram.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Optional, Sequence
 
-from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, build_ald
+from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, RibbonGraph, build_ald
 from .diagram import (
     Diagram,
     DiagramError,
@@ -65,24 +71,16 @@ class State:
     splice_exponent: int
 
 
-def _splice_rows(d: Diagram):
-    """Arcs and per-crossing splice rows from one ribbon graph.
-
-    Returns (n_arcs, free_loops, rows); ``rows[x]`` is the pair (A pairs,
-    B pairs) of arc indices joined at crossing x + 1.
-    """
-    g = build_ald(d)
-    arc_of = [0] * (4 * g.vertex_count)
-    for ei, (tail, head) in enumerate(g.edges):
-        arc_of[tail] = arc_of[head] = ei
-    rows = [
-        tuple(
-            tuple((arc_of[4 * v + s], arc_of[4 * v + t]) for s, t in pairs)
-            for pairs in (A_PAIRS, B_PAIRS)
-        )
-        for v in range(g.vertex_count)
+def _splice_rows(g: RibbonGraph) -> list[tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per-crossing splice rows of a ribbon graph: ``rows[x]`` is the pair
+    (A pairs, B pairs) of band indices joined at crossing x + 1."""
+    (a0, a1), (a2, a3) = A_PAIRS
+    (b0, b1), (b2, b3) = B_PAIRS
+    band_of = g.band_of_dart
+    return [
+        (((e[a0], e[a1]), (e[a2], e[a3])), ((e[b0], e[b1]), (e[b2], e[b3])))
+        for e in [band_of[4 * v:4 * v + 4] for v in range(g.vertex_count)]
     ]
-    return g.edge_count, g.free_loops, rows
 
 
 def _find(parent: list[int], a: int) -> int:
@@ -112,14 +110,14 @@ def splice_state(d: Diagram, choices: Mapping[int, str]) -> State:
     for v in choices.values():
         if v not in ("A", "B"):
             raise IncompleteChoices(f"bad splice choice {v!r}")
-    n_arcs, free, rows = _splice_rows(d)
+    g = build_ald(d)
     mask = 0
     n_b = 0
     for cid, ch in choices.items():
         if ch == "B":
             mask |= 1 << (cid - 1)
             n_b += 1
-    loops = _loops_for_mask(n_arcs, rows, mask) + free
+    loops = _loops_for_mask(g.edge_count, _splice_rows(g), mask) + g.free_loops
     ordered = tuple(choices[i + 1] for i in range(c))
     return State(choices=ordered, loop_count=loops, splice_exponent=c - 2 * n_b)
 
@@ -139,7 +137,7 @@ def state_index(s: State) -> int:
 # histogram evaluation
 
 def _open_histograms(
-    n_arcs: int, free: int, rows: Sequence[Sequence], x: int
+    g: RibbonGraph, x: int
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
     """The (#B-splices, loop count) -> count histograms of the A and the B
     splice at crossing x + 1, over the 2^(c-1) states of the others.
@@ -147,17 +145,23 @@ def _open_histograms(
     #B counts the B splices among the other crossings, and loop counts
     include the free loops.  Each state runs one union-find over the arcs,
     whose loops are the arcs less its successful unions.  Crossing x + 1 is
-    then closed both ways from the roots of its arcs: a pair joins two
-    loops unless its ends already share one, and the second pair also
+    then closed both ways from the roots of its four bands: a pair joins
+    two loops unless its ends already share one, and the second pair also
     fails when it repeats the two roots the first just joined.
     """
+    rows = _splice_rows(g)
     others = rows[:x] + rows[x + 1:]
-    closings = rows[x]
-    ends = {a for pair in closings[0] for a in pair}
-    hists: tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]] = ({}, {})
+    e0, e1, e2, e3 = g.band_of_dart[4 * x:4 * x + 4]
+    (a0, a1), (a2, a3) = A_PAIRS
+    (b0, b1), (b2, b3) = B_PAIRS
+    n_arcs = g.edge_count
+    all_loops = n_arcs + g.free_loops
+    hist_a: dict[tuple[int, int], int] = {}
+    hist_b: dict[tuple[int, int], int] = {}
+    singletons = list(range(n_arcs))
     for mask in range(1 << len(others)):
-        parent = list(range(n_arcs))
-        loops = n_arcs + free
+        parent = singletons[:]
+        loops = all_loops
         bits = mask
         for row in others:
             for a, b in row[bits & 1]:
@@ -166,23 +170,27 @@ def _open_histograms(
                     parent[rb] = ra
                     loops -= 1
             bits >>= 1
-        root = {a: _find(parent, a) for a in ends}
+        root = (_find(parent, e0), _find(parent, e1), _find(parent, e2), _find(parent, e3))
         n_b = mask.bit_count()
-        for hist, ((p, q), (r, s)) in zip(hists, closings):
-            p, q, r, s = root[p], root[q], root[r], root[s]
-            key = (n_b, loops - (p != q) - (r != s and {r, s} != {p, q}))
-            hist[key] = hist.get(key, 0) + 1
-    return hists
+        # the two closings are written out: a loop over them costs about a
+        # tenth of the state sum of a diagram with c <= 4
+        p, q, r, s = root[a0], root[a1], root[a2], root[a3]
+        key = (n_b, loops - (p != q) - (r != s and not (r == p and s == q or r == q and s == p)))
+        hist_a[key] = hist_a.get(key, 0) + 1
+        p, q, r, s = root[b0], root[b1], root[b2], root[b3]
+        key = (n_b, loops - (p != q) - (r != s and not (r == p and s == q or r == q and s == p)))
+        hist_b[key] = hist_b.get(key, 0) + 1
+    return hist_a, hist_b
 
 
-def _state_histogram(d: Diagram) -> dict[tuple[int, int], int]:
+def _state_histogram(g: RibbonGraph) -> dict[tuple[int, int], int]:
     """The (#B-splices, loop count) -> count histogram over all 2^c states,
     free loops included, with Python int counts so it is exact for every c.
     The last crossing is left open and its B side is counted at #B + 1."""
-    n_arcs, free, rows = _splice_rows(d)
-    if not rows:
-        return {(0, free): 1}
-    hist_a, hist_b = _open_histograms(n_arcs, free, rows, len(rows) - 1)
+    c = g.vertex_count
+    if not c:
+        return {(0, g.free_loops): 1}
+    hist_a, hist_b = _open_histograms(g, c - 1)
     hist = dict(hist_a)
     for (n_b, loops), count in hist_b.items():
         key = (n_b + 1, loops)
@@ -191,27 +199,31 @@ def _state_histogram(d: Diagram) -> dict[tuple[int, int], int]:
 
 
 def _assemble(c: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
-    max_loops = max(loops for _, loops in hist)
-    if max_loops == 0:
-        return LaurentPoly.one()  # the empty diagram: multiplicative unit
-    powers = [LaurentPoly.one()]
-    for _ in range(max_loops - 1):
-        powers.append(powers[-1] * LOOP_FACTOR)
+    """Sum count * A^(c - 2 #B) (-A^2 - A^-2)^(loops - 1) over the histogram,
+    expanding each power in closed form:
+    (-A^2 - A^-2)^k = (-1)^k sum_j C(k, j) A^(2k - 4j)."""
     acc: dict[int, int] = {}
     for (n_b, loops), count in hist.items():
-        exponent = c - 2 * n_b
-        for e, coeff in (powers[loops - 1]).terms():
-            key = e + exponent
-            acc[key] = acc.get(key, 0) + coeff * count
+        if not loops:
+            return LaurentPoly.one()  # the empty diagram: multiplicative unit
+        k = loops - 1
+        top = c - 2 * n_b + 2 * k
+        signed = -count if k & 1 else count
+        for j in range(k + 1):
+            e = top - 4 * j
+            acc[e] = acc.get(e, 0) + signed * comb(k, j)
     return LaurentPoly(acc)
 
 
-def _check_size(d: Diagram, max_crossings: Optional[int]) -> None:
+def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
+    """The ribbon graph of d for a state sum; raises TooManyCrossings first
+    when d has more crossings than the limit."""
     limit = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
     if d.crossing_count > limit:
         raise TooManyCrossings(
             f"{d.crossing_count} crossings exceeds the limit {limit}"
         )
+    return build_ald(d)
 
 
 def _open_crossing(
@@ -226,28 +238,26 @@ def _open_crossing(
     A and the B splice, and ``ald.ORIENTED_SPLICE`` says which of them is
     the oriented one.
     """
-    _check_size(d, max_crossings)
+    g = _state_sum_graph(d, max_crossings)
     d.passage_positions(crossing)  # raises UnknownCrossing
     c = d.crossing_count
-    hists = _open_histograms(*_splice_rows(d), crossing - 1)
-    br_a, br_b = (_assemble(c - 1, hist) for hist in hists)
-    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+    br_a, br_b = (_assemble(c - 1, hist) for hist in _open_histograms(g, crossing - 1))
     oriented_is_a = ORIENTED_SPLICE[d.signs()[crossing]] == "A"
     br_0, br_inf = (br_a, br_b) if oriented_is_a else (br_b, br_a)
-    return a * br_a + a_inv * br_b, a * br_b + a_inv * br_a, br_0, br_inf
+    return br_a.shift(1) + br_b.shift(-1), br_b.shift(1) + br_a.shift(-1), br_0, br_inf
 
 
-def _bracket(d: Diagram, max_crossings: Optional[int]) -> LaurentPoly:
-    # the shared body of the public entry points, private so that a tracer
-    # of public calls (perfbench) counts one state sum per entry
-    _check_size(d, max_crossings)
-    return _assemble(d.crossing_count, _state_histogram(d))
+def _bracket(g: RibbonGraph) -> LaurentPoly:
+    # the state sum on a diagram's ribbon graph: the shared body of the
+    # public entry points, private so that a tracer of public calls
+    # (perfbench) counts one state sum per entry
+    return _assemble(g.vertex_count, _state_histogram(g))
 
 
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The Kauffman bracket, by exact state sum over all 2^c states (2^(c-1)
     union-finds, each closed two ways at the last crossing)."""
-    return _bracket(d, max_crossings)
+    return _bracket(_state_sum_graph(d, max_crossings))
 
 
 def bracket_parallel(
@@ -261,29 +271,40 @@ def bracket_parallel(
     the interpreter lock: one thread sums."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be positive")
-    return _bracket(d, max_crossings)
+    return _bracket(_state_sum_graph(d, max_crossings))
 
 
 def _normalize(w: int, br: LaurentPoly) -> LaurentPoly:
-    # the f-polynomial of a diagram of writhe w and bracket br
-    return monomial_pow(-1, 3, -w) * br
+    # the f-polynomial (-A^3)^(-w) br = (-1)^w A^(-3w) br of a diagram of
+    # writhe w and bracket br
+    f = br.shift(-3 * w)
+    return -f if w & 1 else f
+
+
+def _f_polynomial(d: Diagram, g: RibbonGraph) -> LaurentPoly:
+    # the body of f_polynomial, for callers that already hold the graph
+    return _normalize(writhe(d), _bracket(g))
 
 
 def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The normalized bracket (-A^3)^(-writhe) <D>, invariant under all
     generalized Reidemeister moves."""
-    return _normalize(writhe(d), bracket(d, max_crossings))
+    return _f_polynomial(d, _state_sum_graph(d, max_crossings))
+
+
+def _index_spectrum(g: RibbonGraph) -> set[int]:
+    # the body of index_spectrum, for callers that already hold the graph
+    c = g.vertex_count
+    # the empty diagram's one state (no loops) counts as the unknot's
+    return {
+        (c - 2 * n_b + 2 * max(loops, 1) - 2) % 4
+        for n_b, loops in _state_histogram(g)
+    }
 
 
 def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
     """The set of state indices over all states of the diagram."""
-    _check_size(d, max_crossings)
-    c = d.crossing_count
-    # the empty diagram's one state (no loops) counts as the unknot's
-    return {
-        (c - 2 * n_b + 2 * max(loops, 1) - 2) % 4
-        for n_b, loops in _state_histogram(d)
-    }
+    return _index_spectrum(_state_sum_graph(d, max_crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +414,14 @@ class FiniteTypeSeries:
         return self.coefficients[n]
 
 
-def finite_type_coefficients(p: LaurentPoly, order: int) -> FiniteTypeSeries:
-    """v_m = sum_j coeff(j) j^m / m! for m = 0..order."""
+def _check_order(order: int) -> None:
     if order < 0:
         raise ValueError("order must be nonnegative")
+
+
+def finite_type_coefficients(p: LaurentPoly, order: int) -> FiniteTypeSeries:
+    """v_m = sum_j coeff(j) j^m / m! for m = 0..order."""
+    _check_order(order)
     coeffs = []
     fact = 1
     for m in range(order + 1):
@@ -467,8 +492,10 @@ def finite_type_recursion_check(
     of ``d`` with the crossing changed (writhe less twice the sign) and of
     both splices (see ``_open_crossing``); the splices' writhes come from
     ``splice_oriented`` and ``splice_disoriented``.  ``max_crossings``
-    limits the crossings of ``d``.
+    limits the crossings of ``d``.  A negative ``order`` raises ValueError
+    before any state sum.
     """
+    _check_order(order)
     ctx = splice_context(d, crossing)
     l = ctx.l
     br, br_changed, br_0, br_inf = _open_crossing(d, crossing, max_crossings)

@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .ald import Coloring, checkerboard_colorable, is_alternating, make_alternating
-from .bracket import f_polynomial, index_spectrum
+from .ald import Coloring, _checkerboard_coloring, is_alternating, make_alternating
+from .bracket import _f_polynomial, _index_spectrum, _state_sum_graph, f_polynomial
 from .diagram import (
     Diagram,
     DiagramError,
@@ -198,16 +198,18 @@ class VerificationRecord:
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
     """Evaluate all per-diagram properties; ``max_crossings`` is the
-    state-sum size limit of :func:`f_polynomial`.
+    state-sum size limit of :func:`f_polynomial`.  The state sum and the
+    colorability check share one ribbon graph of ``d``.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
     colorable ones the f-exponents must share residue 0 mod 4 when the
     component count is odd and 2 when it is even (and f must be nonzero).
     """
-    f = f_polynomial(d, max_crossings)
+    g = _state_sum_graph(d, max_crossings)
+    f = _f_polynomial(d, g)
     n = d.component_count
-    coloring = checkerboard_colorable(d)
+    coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)
     congruence = f.congruence_class_mod4()
@@ -234,8 +236,9 @@ def verify_index_spectrum(
     statement of the index-spectrum verdict, that a checkerboard colorable
     diagram has a single state index.  ``max_crossings`` is the state-sum
     size limit of :func:`index_spectrum`."""
-    spectrum = sorted(index_spectrum(d, max_crossings))
-    colorable = checkerboard_colorable(d) is not None
+    g = _state_sum_graph(d, max_crossings)
+    spectrum = sorted(_index_spectrum(g))
+    colorable = _checkerboard_coloring(g) is not None
     return spectrum, colorable, not colorable or len(spectrum) == 1
 
 

@@ -38,6 +38,8 @@ F_FIGURE_EIGHT = LaurentPoly({-8: 1, -4: -1, 0: 1, 4: -1, 8: 1})
 # kinks (an arc from the crossing back to itself) at the crossing a state
 # sum leaves open, with and without free loops
 KINK_CASES = ("O1+U1+", "O1-U1-", "O1+U1+O2-U2-", "O1-U1-\n()", "O1+U1+O2-U2-\n()\n()")
+# inputs whose states have up to six loops, so loop-factor powers up to the fifth
+MANY_LOOPS = ("()\n()\n()\n()", "O1+U1+O2-U2-\n()\n()\n()", "O1+U2+\nO2+U1+\n()\n()")
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +151,11 @@ def test_f_hopf(hopf):
 
 def test_bracket_matches_state_sum():
     """Double-entry: the histogram bracket equals the termwise sum of
-    state contributions computed through the public state API."""
+    state contributions computed through the public state API.  The
+    many-loop inputs check the closed-form powers of the loop factor in the
+    bracket against the ``LOOP_FACTOR **`` of ``state_contribution``."""
     rng = random.Random(14)
-    diagrams = [parse_gauss(code) for code in (TREFOIL, VIRTUAL_TREFOIL) + KINK_CASES] + [
+    diagrams = [parse_gauss(code) for code in (TREFOIL, VIRTUAL_TREFOIL) + KINK_CASES + MANY_LOOPS] + [
         random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3))
         for _ in range(20)
     ]
@@ -209,6 +213,16 @@ def test_too_many_crossings():
         finite_type_recursion_check(d, 1, order=1, max_crossings=6)
     assert skein_identity_check(d, 1, max_crossings=7).holds
     assert finite_type_recursion_check(d, 1, order=1, max_crossings=7).difference_identity_holds
+
+
+def test_recursion_rejects_negative_order_before_state_sum():
+    # the order is checked first: over the size limit, a negative order is
+    # still a ValueError, not TooManyCrossings
+    d = random_diagram(random.Random(16), 7, components=1)
+    with pytest.raises(ValueError):
+        finite_type_recursion_check(d, 1, order=-1, max_crossings=6)
+    with pytest.raises(ValueError):
+        finite_type_recursion_check(d, 1, order=-1)
 
 
 def test_bracket_parallel_deterministic(trefoil):

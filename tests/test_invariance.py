@@ -1,5 +1,6 @@
 """Metamorphic properties: exact invariances of f and of the verification
-verdicts under mirror, reversal, component rotation and component order.
+verdicts under mirror, reversal, component rotation, component order and
+the generalized Reidemeister moves.
 
 Each property compares two computations on related diagrams, so it
 checks the state sum and the colorability test without an oracle.
@@ -11,18 +12,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vknots.bracket import f_polynomial
-from vknots.diagram import crossing_change, make_diagram, random_diagram, reverse_all
+from vknots.diagram import (
+    MoveKind,
+    applicable_kinds,
+    apply_move,
+    crossing_change,
+    make_diagram,
+    random_diagram,
+    reverse_all,
+)
 from vknots.laurent import LaurentPoly
 from vknots.verify import verify_diagram
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
-diagrams = st.builds(
-    lambda seed, c, n: random_diagram(random.Random(seed), c, n),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=1, max_value=3),
-)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _diagrams(max_crossings):
+    return st.builds(
+        lambda seed, c, n: random_diagram(random.Random(seed), c, n),
+        seeds,
+        st.integers(min_value=0, max_value=max_crossings),
+        st.integers(min_value=1, max_value=3),
+    )
+
+
+diagrams = _diagrams(7)
 
 
 def _verdicts(d):
@@ -76,3 +92,13 @@ def test_component_order_keeps_f(d, data):
     reordered = make_diagram([d.components[i] for i in order])
     assert f_polynomial(reordered) == f_polynomial(d)
     assert _verdicts(reordered) == _verdicts(d)
+
+
+@PROPERTY
+@given(_diagrams(6), seeds)
+def test_moves_keep_f(d, seed):
+    f = f_polynomial(d)
+    for kind in applicable_kinds(d):
+        moved = apply_move(d, MoveKind(kind), seed)
+        assert f_polynomial(moved) == f, kind
+        assert verify_diagram(moved).ok, kind

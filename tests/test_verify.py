@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
+from vknots.ald import checkerboard_colorable, is_alternating, make_alternating
 from vknots.bracket import f_polynomial
-from vknots.diagram import parse_gauss, serialize
+from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
 from vknots.verify import (
     EnumSpec,
@@ -113,6 +115,27 @@ def test_verify_diagram_unlink():
     assert record.congruence == 2
     assert record.f.evaluate_at_one() == -2
     assert record.ok
+
+
+def test_verify_diagram_matches_standalone_checks():
+    """verify_diagram shares one ribbon graph between the state sum and the
+    colorability check; its record must equal what the standalone public
+    functions, each building its own graph, return."""
+    rng = random.Random(23)
+    diagrams = [make_diagram([]), parse_gauss("()"), parse_gauss("()\n()\n()"), parse_gauss("O1+U1+\n()")]
+    diagrams += [
+        random_diagram(rng, rng.randrange(0, 9), components=rng.randrange(1, 4))
+        for _ in range(200)
+    ]
+    for d in diagrams:
+        record = verify_diagram(d)
+        coloring = checkerboard_colorable(d)
+        assert record.f == f_polynomial(d)
+        assert (record.coloring is None) == (coloring is None)
+        if coloring is not None:
+            assert record.coloring.to_json() == coloring.to_json()
+        assert record.alternating == is_alternating(d)
+        assert record.alternating_equiv_ok == ((make_alternating(d) is not None) == (coloring is not None))
 
 
 def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
