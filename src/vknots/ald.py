@@ -200,7 +200,7 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
     region_of = [-1] * n
     regions: list[tuple[tuple[int, int], ...]] = []
     for start in range(n):
-        if region_of[start] != -1 or alpha[start] == -1:
+        if region_of[start] != -1:
             continue
         cycle = []
         dart = start
@@ -210,9 +210,7 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
             cycle.append((ei, 0 if edges[ei][0] == dart else 1))
             dart = turn[alpha[dart]]
         regions.append(tuple(cycle))
-    constraints = []
-    for ei, (t, h) in enumerate(g.edges):
-        constraints.append((region_of[t], region_of[h]))
+    constraints = [(region_of[t], region_of[h]) for t, h in edges]
     # free loops: an annulus each, two one-sided regions on a pseudo edge
     for k in range(g.free_loops):
         pseudo = g.edge_count + k
@@ -392,8 +390,6 @@ def induced_state_coloring(d: Diagram, coloring: Coloring, choices: Mapping[int,
     new = boundary_regions(g, splices=choices)
     colors: list[Optional[str]] = [None] * new.region_count
     for dart in range(4 * g.vertex_count):
-        if g.alpha[dart] == -1:
-            continue
         r_new = new.region_of_dart[dart]
         r_old = old.region_of_dart[dart]
         inherited = coloring.colors[r_old]

@@ -19,9 +19,11 @@ four bands (``band_of_dart``) through ``A_PAIRS``/``B_PAIRS``.  The
 state loop therefore has no sign test: the splice rule lives only in
 ``ald``.  A histogram is assembled in closed form, with no polynomial
 products: (-A^2 - A^-2)^k = (-1)^k sum_j C(k, j) A^(2k - 4j), and the
-writhe factor (-A^3)^(-w) is a shift by -3w and a sign.  Callers that
-already hold a diagram's ribbon graph (``verify``) pass it to the
-private bodies of the state sum, so it is built once per diagram.
+writhe factor (-A^3)^(-w) is a shift by -3w and a sign, as are the
+skein factors.  Callers that already hold a diagram's ribbon graph
+(``verify``) pass it to the private bodies of the state sum, so it is
+built once per diagram.  ``splice_state`` counts one state's loops on
+the boundary walk instead, sharing no code with the state sum.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
-from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, RibbonGraph, build_ald
+from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, RibbonGraph, boundary_regions, build_ald
 from .diagram import (
     Diagram,
     DiagramError,
@@ -41,7 +43,7 @@ from .diagram import (
     splice_oriented,
     writhe,
 )
-from .laurent import LOOP_FACTOR, LaurentPoly, monomial_pow
+from .laurent import LOOP_FACTOR, LaurentPoly
 
 DEFAULT_MAX_CROSSINGS = 24
 
@@ -91,40 +93,24 @@ def _find(parent: list[int], a: int) -> int:
     return a
 
 
-def _loops_for_mask(n_arcs: int, rows: Sequence[Sequence], mask: int) -> int:
-    """Loop count among the arcs for the state encoded by mask (bit=1 is B)."""
-    parent = list(range(n_arcs))
-    for x, row in enumerate(rows):
-        for a, b in row[(mask >> x) & 1]:
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[rb] = ra
-    return sum(1 for i in range(n_arcs) if parent[i] == i)
-
-
 def splice_state(d: Diagram, choices: Mapping[int, str]) -> State:
-    """Evaluate one splice assignment: loop count and A-minus-B exponent."""
+    """Evaluate one splice assignment: loop count and A-minus-B exponent.
+    Each loop, free loops included, bounds two of the boundary walks that
+    ``ald.boundary_regions`` traces with ``choices`` as its splices."""
     c = d.crossing_count
     if set(choices) != set(range(1, c + 1)):
         raise IncompleteChoices(f"choices must cover crossings 1..{c}")
     for v in choices.values():
         if v not in ("A", "B"):
             raise IncompleteChoices(f"bad splice choice {v!r}")
-    g = build_ald(d)
-    mask = 0
-    n_b = 0
-    for cid, ch in choices.items():
-        if ch == "B":
-            mask |= 1 << (cid - 1)
-            n_b += 1
-    loops = _loops_for_mask(g.edge_count, _splice_rows(g), mask) + g.free_loops
+    loops = boundary_regions(build_ald(d), splices=choices).region_count // 2
     ordered = tuple(choices[i + 1] for i in range(c))
-    return State(choices=ordered, loop_count=loops, splice_exponent=c - 2 * n_b)
+    return State(choices=ordered, loop_count=loops, splice_exponent=c - 2 * ordered.count("B"))
 
 
 def state_contribution(s: State) -> LaurentPoly:
     """I(S) = A^exponent (-A^2-A^-2)^(loops-1), the state's bracket term."""
-    return LaurentPoly.monomial(1, s.splice_exponent) * (LOOP_FACTOR ** (s.loop_count - 1))
+    return (LOOP_FACTOR ** (s.loop_count - 1)).shift(s.splice_exponent)
 
 
 def state_index(s: State) -> int:
@@ -344,9 +330,8 @@ class SkeinReport:
 
 
 def _skein_rhs(sign: int, l: int, f0: LaurentPoly, finf: LaurentPoly) -> LaurentPoly:
-    front = LaurentPoly.monomial(-1, -2 * sign)
-    tail = monomial_pow(-1, 3, -2 * l) * LaurentPoly.monomial(-1, -4 * sign)
-    return front * f0 + tail * finf
+    # (-A^3)^(-2l) finf is finf normalized as if its writhe were 2l
+    return -(f0.shift(-2 * sign) + _normalize(2 * l, finf).shift(-4 * sign))
 
 
 def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int] = None) -> SkeinReport:
@@ -367,18 +352,14 @@ def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int]
     br, _, br_0, br_inf = _open_crossing(d, crossing, max_crossings)
     f = _normalize(writhe(d), br)
     f0 = _normalize(writhe(splice_oriented(d, crossing)), br_0)
-    results = []
-    for arc in ("first", "second"):
-        ctx = splice_context(d, crossing, reversed_arc=arc)
-        finf = _normalize(writhe(splice_disoriented(d, crossing, arc)), br_inf)
-        results.append((ctx, finf, _skein_rhs(ctx.sign, ctx.l, f0, finf)))
-    tail1 = monomial_pow(-1, 3, -2 * results[0][0].l) * results[0][1]
-    tail2 = monomial_pow(-1, 3, -2 * results[1][0].l) * results[1][1]
-    if tail1 != tail2:
+    arcs = ("first", "second")
+    ctx, ctx2 = (splice_context(d, crossing, arc) for arc in arcs)
+    finf, finf2 = (_normalize(writhe(splice_disoriented(d, crossing, arc)), br_inf) for arc in arcs)
+    if _normalize(2 * ctx.l, finf) != _normalize(2 * ctx2.l, finf2):
         raise IdentityViolation(
             "(-A^3)^(-2l) f_inf differs between the two arc choices"
         )
-    ctx, finf, rhs = results[0]
+    rhs = _skein_rhs(ctx.sign, ctx.l, f0, finf)
     report = SkeinReport(
         crossing=crossing,
         sign=ctx.sign,
@@ -388,7 +369,7 @@ def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int]
         f_oriented=f0,
         f_disoriented=finf,
         rhs=rhs,
-        holds=(f == rhs and f == results[1][2]),
+        holds=(f == rhs and f == _skein_rhs(ctx2.sign, ctx2.l, f0, finf2)),
     )
     if not report.holds:
         raise IdentityViolation(

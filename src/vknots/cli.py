@@ -72,6 +72,12 @@ def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_limits(p: argparse.ArgumentParser) -> None:
     # a string default (the environment value) goes through type=int, so a
     # malformed VKNOTS_MAX_CROSSINGS is a usage error like a malformed flag
@@ -256,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_witness_cmd)
 
     p = sub.add_parser("fuzz", help="randomized move-invariance fuzzing")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_nonnegative_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-moves", type=int, default=4)
+    p.add_argument("--max-moves", type=_nonnegative_int, default=4)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_fuzz_cmd)
     return parser

@@ -29,7 +29,8 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import permutations, product
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -347,30 +348,7 @@ def crossing_change(d: Diagram, crossing: int) -> Diagram:
 
 def reverse_all(d: Diagram) -> Diagram:
     """Reverse the orientation of every component.  Signs are unchanged."""
-    return Diagram(tuple(tuple(reversed(comp)) for comp in d.components))
-
-
-def _cyclic_segment(comp: Sequence[Passage], start: int, stop: int) -> list[Passage]:
-    """Passages at positions start..stop inclusive, walking forward
-    cyclically.  stop == start - 1 (mod length) yields the empty segment;
-    callers cut between two distinct positions i, j via start=i+1,
-    stop=j-1, so the full-cycle reading of that boundary case never
-    arises.
-    """
-    m = len(comp)
-    if m == 0:
-        return []
-    out = []
-    k = start % m
-    stop = stop % m
-    if (stop + 1) % m == start % m:
-        return []
-    while True:
-        out.append(comp[k])
-        if k == stop:
-            break
-        k = (k + 1) % m
-    return out
+    return make_diagram(comp[::-1] for comp in d.components)
 
 
 def _splice_arcs(d: Diagram, crossing: int) -> tuple[list[Passage], list[Passage], list[tuple[Passage, ...]]]:
@@ -382,15 +360,14 @@ def _splice_arcs(d: Diagram, crossing: int) -> tuple[list[Passage], list[Passage
     """
     (oc, oi), (uc, uj) = d.passage_positions(crossing)
     rest = [comp for ci, comp in enumerate(d.components) if ci not in (oc, uc)]
+    ucomp = d.components[uc]
+    first = list(ucomp[uj + 1:] + ucomp[:uj])
     if oc == uc:
-        comp = d.components[oc]
-        first = _cyclic_segment(comp, uj + 1, oi - 1)
-        second = _cyclic_segment(comp, oi + 1, uj - 1)
-    else:
-        ucomp, ocomp = d.components[uc], d.components[oc]
-        first = list(ucomp[uj + 1:]) + list(ucomp[:uj])
-        second = list(ocomp[oi + 1:]) + list(ocomp[:oi])
-    return first, second, rest
+        # the over passage sits in the same onward reading; cut there
+        cut = (oi - uj - 1) % len(ucomp)
+        return first[:cut], first[cut + 1:], rest
+    ocomp = d.components[oc]
+    return first, list(ocomp[oi + 1:] + ocomp[:oi]), rest
 
 
 def splice_oriented(d: Diagram, crossing: int) -> Diagram:
@@ -770,30 +747,8 @@ def canonical_form(d: Diagram) -> tuple:
     order and crossing relabeling.  Two diagrams that differ only by those
     choices have equal canonical forms.
     """
-    from itertools import permutations
-
-    best: Optional[tuple] = None
-    rotation_sets = [
-        [list(comp[r:]) + list(comp[:r]) for r in range(max(1, len(comp)))]
-        for comp in d.components
-    ]
-
-    def rec(order: tuple[int, ...], chosen: list[list[Passage]]):
-        nonlocal best
-        if len(chosen) == len(order):
-            cand = _encode(chosen)
-            if best is None or cand < best:
-                best = cand
-            return
-        idx = order[len(chosen)]
-        for rot in rotation_sets[idx]:
-            rec(order, chosen + [rot])
-
-    for order in permutations(range(len(d.components))):
-        rec(order, [])
-    if best is None:
-        best = ()
-    return best
+    rotations = [[comp[r:] + comp[:r] for r in range(max(1, len(comp)))] for comp in d.components]
+    return min(_encode(choice) for order in permutations(rotations) for choice in product(*order))
 
 
 def random_diagram(rng: random.Random, crossings: int, components: int = 1) -> Diagram:

@@ -219,9 +219,9 @@ class LaurentPoly:
 
 
 def monomial_pow(base_sign: int, base_exp: int, k: int) -> LaurentPoly:
-    """(base_sign * A^base_exp)^k for any integer k, negative included.
-
-    Used for the writhe normalization factor (-A^3)^(-w).
+    """(base_sign * A^base_exp)^k for any integer k, negative included,
+    such as the writhe normalization factor (-A^3)^(-w).  The library
+    itself applies that factor as a shift and a sign, not as a product.
     """
     if base_sign not in (1, -1):
         raise ValueError("base_sign must be +1 or -1")

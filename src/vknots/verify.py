@@ -36,6 +36,7 @@ from .diagram import (
 from .laurent import CongruenceClass, LaurentPoly
 
 EXHAUSTIVE_LIMIT = 6  # the stream grows factorially past this
+FUZZ_MAX_CROSSINGS = 8  # fuzz diagrams start at up to half this and stop growing at it
 
 
 class SpecTooLarge(DiagramError):
@@ -331,7 +332,7 @@ class FuzzReport:
         return json.dumps(self.to_json(), indent=2)
 
 
-def fuzz_invariance(seed: int, trials: int, max_moves: int = 4, max_crossings: int = 8) -> FuzzReport:
+def fuzz_invariance(seed: int, trials: int, max_moves: int = 4) -> FuzzReport:
     """Random diagrams, random generalized Reidemeister rewrites.
 
     The f-polynomial must be preserved exactly by every move, and the
@@ -341,11 +342,11 @@ def fuzz_invariance(seed: int, trials: int, max_moves: int = 4, max_crossings: i
     start = time.perf_counter()
     for _ in range(trials):
         report.trials += 1
-        c = rng.randrange(0, max_crossings // 2 + 1)
+        c = rng.randrange(0, FUZZ_MAX_CROSSINGS // 2 + 1)
         d = random_diagram(rng, c, components=rng.randrange(1, 3))
         f_ref = f_polynomial(d)
         for _ in range(max_moves):
-            if d.crossing_count >= max_crossings:
+            if d.crossing_count >= FUZZ_MAX_CROSSINGS:
                 break
             move, d = random_move(d, rng)
             record = verify_diagram(d)

@@ -78,8 +78,11 @@ def test_single_toggle_changes_loops_by_at_most_one():
 
 
 def test_loop_counts_match_region_tracing():
-    """Independent route: a state's loops each carry two boundary circles
-    of the spliced ribbon surface."""
+    """splice_state counts a state's loops as half the boundary walks of
+    the spliced ribbon surface, so this is not an independent route (the
+    union-find comparison is ``test_bracket_matches_state_sum``).  It
+    checks that the walk count is even, each loop carrying two boundary
+    circles, and that the loop count lies in 1..c + n."""
     rng = random.Random(12)
     diagrams = [parse_gauss(TREFOIL), parse_gauss(VIRTUAL_TREFOIL)] + [
         random_diagram(rng, rng.randrange(1, 5), components=rng.randrange(1, 3))
@@ -151,7 +154,8 @@ def test_f_hopf(hopf):
 
 def test_bracket_matches_state_sum():
     """Double-entry: the histogram bracket equals the termwise sum of
-    state contributions computed through the public state API.  The
+    state contributions computed through the public state API, whose
+    boundary-walk loop counts share no code with the union-find.  The
     many-loop inputs check the closed-form powers of the loop factor in the
     bracket against the ``LOOP_FACTOR **`` of ``state_contribution``."""
     rng = random.Random(14)

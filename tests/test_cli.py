@@ -131,11 +131,13 @@ def test_bad_input_exit_2(capsys):
 @pytest.mark.parametrize(
     "env, argv",
     [
-        ({"VKNOTS_MAX_CROSSINGS": "abc"}, ["fpoly"]),
-        ({}, ["fpoly", "--workers", "2"]),
-        ({}, ["bracket", "--workers", "2"]),
-        ({}, ["check", "--workers", "2"]),
-        ({}, ["verify", "--workers", "2"]),
+        ({"VKNOTS_MAX_CROSSINGS": "abc"}, ["fpoly", "-c", TREFOIL_MIRROR]),
+        ({}, ["fpoly", "--workers", "2", "-c", TREFOIL_MIRROR]),
+        ({}, ["bracket", "--workers", "2", "-c", TREFOIL_MIRROR]),
+        ({}, ["check", "--workers", "2", "-c", TREFOIL_MIRROR]),
+        ({}, ["verify", "--workers", "2", "-c", TREFOIL_MIRROR]),
+        ({}, ["fuzz", "--trials", "-3"]),
+        ({}, ["fuzz", "--max-moves", "-1"]),
     ],
     ids=[
         "env-limit-not-int",
@@ -143,13 +145,15 @@ def test_bad_input_exit_2(capsys):
         "bracket-takes-no-workers",
         "check-takes-no-workers",
         "verify-takes-no-workers",
+        "fuzz-negative-trials",
+        "fuzz-negative-max-moves",
     ],
 )
 def test_bad_option_exit_2(capsys, monkeypatch, env, argv):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "-c", TREFOIL_MIRROR])
+        main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
