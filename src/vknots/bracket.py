@@ -6,13 +6,16 @@ splice assignments
     <D> = sum_S A^(#A - #B) (-A^2 - A^-2)^(loops(S) - 1)
 
 and the f-polynomial is (-A^3)^(-writhe) <D>.  The sum leaves one
-crossing open: one union-find over the diagram arcs per state of the
-other c - 1 crossings, 2^(c-1) in all, counts that state's loops, and
-the open crossing is then closed both ways from the roots of its arcs.
-This gives two exact (#B, loops) histograms of Python int counts, those
-of the A and the B splice at the open crossing, so that one sum yields
-<D_A> and <D_B> and, by Kauffman's relation <D> = A<D_A> + A^-1<D_B>,
-<D> itself.  The arcs are the bands of the ribbon graph from
+crossing open and walks the 2^(c-1) states of the other c - 1 crossings
+depth first, splicing them in row order: a union-find over the diagram
+arcs is built once per prefix of splices and shared by every state that
+extends it, so each state costs about two rows of unions and one copy
+of the forest rather than c - 1 rows.  At each state the open crossing
+is closed both ways from the roots of its arcs.  This gives two exact
+(#B, loops) histograms of Python int counts, those of the A and the B
+splice at the open crossing, so that one sum yields <D_A> and <D_B>
+and, by Kauffman's relation <D> = A<D_A> + A^-1<D_B>, <D> itself.  The
+arcs are the bands of the ribbon graph from
 :func:`vknots.ald.build_ald`, and each crossing's row lists the arc
 pairs its A and its B splice join, read off the rotation slots of its
 four bands (``band_of_dart``) through ``A_PAIRS``/``B_PAIRS``.  The
@@ -109,7 +112,10 @@ def splice_state(d: Diagram, choices: Mapping[int, str]) -> State:
 
 
 def state_contribution(s: State) -> LaurentPoly:
-    """I(S) = A^exponent (-A^2-A^-2)^(loops-1), the state's bracket term."""
+    """I(S) = A^exponent (-A^2-A^-2)^(loops-1), the state's bracket term;
+    the unit for the one state of the empty diagram, which has no loops."""
+    if not s.loop_count:
+        return LaurentPoly.one()
     return (LOOP_FACTOR ** (s.loop_count - 1)).shift(s.splice_exponent)
 
 
@@ -129,35 +135,46 @@ def _open_histograms(
     splice at crossing x + 1, over the 2^(c-1) states of the others.
 
     #B counts the B splices among the other crossings, and loop counts
-    include the free loops.  Each state runs one union-find over the arcs,
-    whose loops are the arcs less its successful unions.  Crossing x + 1 is
-    then closed both ways from the roots of its four bands: a pair joins
-    two loops unless its ends already share one, and the second pair also
-    fails when it repeats the two roots the first just joined.
+    include the free loops.  The states are the leaves of a depth-first
+    walk that splices the other crossings in row order, so states that
+    agree on a prefix of rows share its union-find over the arcs: a node
+    at depth k holds the forest of its first k splices and its loop count,
+    the arcs less its successful unions.  A node hands its own forest to
+    its A child and a copy to its B child, and each child applies the two
+    unions of its row, so a state costs about two rows and one copy.  At
+    each leaf crossing x + 1 is closed both ways from the roots of its
+    four bands: a pair joins two loops unless its ends already share one,
+    and the second pair also fails when it repeats the two roots the first
+    just joined.
     """
     rows = _splice_rows(g)
     others = rows[:x] + rows[x + 1:]
+    depth = len(others)
     e0, e1, e2, e3 = g.band_of_dart[4 * x:4 * x + 4]
     (a0, a1), (a2, a3) = A_PAIRS
     (b0, b1), (b2, b3) = B_PAIRS
     n_arcs = g.edge_count
-    all_loops = n_arcs + g.free_loops
     hist_a: dict[tuple[int, int], int] = {}
     hist_b: dict[tuple[int, int], int] = {}
-    singletons = list(range(n_arcs))
-    for mask in range(1 << len(others)):
-        parent = singletons[:]
-        loops = all_loops
-        bits = mask
-        for row in others:
-            for a, b in row[bits & 1]:
-                ra, rb = _find(parent, a), _find(parent, b)
-                if ra != rb:
-                    parent[rb] = ra
-                    loops -= 1
-            bits >>= 1
+    stack = [(0, list(range(n_arcs)), 0, n_arcs + g.free_loops)]
+    while stack:
+        level, parent, n_b, loops = stack.pop()
+        if level < depth:
+            row_a, row_b = others[level]
+            level += 1
+            for bit, pairs in ((1, row_b), (0, row_a)):
+                # the B child works on a copy; the A child, pushed last,
+                # takes this node's forest, which no one reads after it
+                forest = parent[:] if bit else parent
+                joined = loops
+                for a, b in pairs:
+                    ra, rb = _find(forest, a), _find(forest, b)
+                    if ra != rb:
+                        forest[rb] = ra
+                        joined -= 1
+                stack.append((level, forest, n_b + bit, joined))
+            continue
         root = (_find(parent, e0), _find(parent, e1), _find(parent, e2), _find(parent, e3))
-        n_b = mask.bit_count()
         # the two closings are written out: a loop over them costs about a
         # tenth of the state sum of a diagram with c <= 4
         p, q, r, s = root[a0], root[a1], root[a2], root[a3]
@@ -241,8 +258,9 @@ def _bracket(g: RibbonGraph) -> LaurentPoly:
 
 
 def bracket(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
-    """The Kauffman bracket, by exact state sum over all 2^c states (2^(c-1)
-    union-finds, each closed two ways at the last crossing)."""
+    """The Kauffman bracket, by exact state sum over all 2^c states: a
+    depth-first walk over the 2^(c-1) states of all crossings but the
+    last, each closed two ways at the last crossing."""
     return _bracket(_state_sum_graph(d, max_crossings))
 
 

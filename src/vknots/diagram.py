@@ -375,8 +375,9 @@ def splice_oriented(d: Diagram, crossing: int) -> Diagram:
     orientation.  The component count changes by exactly one.
     """
     first, second, rest = _splice_arcs(d, crossing)
-    (oc, _), (uc, _) = d.passage_positions(crossing)
-    return make_diagram(rest + ([second, first] if oc == uc else [second + first]))
+    # both passages on one component: the cut leaves every other one intact
+    same_component = len(rest) == d.component_count - 1
+    return make_diagram(rest + ([second, first] if same_component else [second + first]))
 
 
 def _disoriented_cut(

@@ -336,7 +336,10 @@ def fuzz_invariance(seed: int, trials: int, max_moves: int = 4) -> FuzzReport:
     """Random diagrams, random generalized Reidemeister rewrites.
 
     The f-polynomial must be preserved exactly by every move, and the
-    colorability/congruence implication must hold at every step."""
+    colorability/congruence implication must hold at every step.  A
+    negative ``trials`` or ``max_moves`` raises ValueError."""
+    if trials < 0 or max_moves < 0:
+        raise ValueError("trials and max_moves must be nonnegative")
     rng = random.Random(seed)
     report = FuzzReport()
     start = time.perf_counter()

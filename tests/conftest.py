@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from vknots import parse_gauss
+
+# Every run draws the same property examples, so a property failure
+# reproduces from a plain rerun.  Example counts and deadlines are those
+# of hypothesis's defaults and of each test's own settings.
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 # Canonical small codes.  The left-handed (all-negative) trefoil variants
 # carry the frozen reference polynomials A^4+A^12-A^16 and A^4+A^6-A^10;

@@ -9,6 +9,7 @@ from vknots.bracket import (
     IncompleteChoices,
     State,
     TooManyCrossings,
+    _open_histograms,
     bracket,
     bracket_parallel,
     f_polynomial,
@@ -22,6 +23,7 @@ from vknots.bracket import (
 )
 from vknots.diagram import (
     crossing_change,
+    make_diagram,
     parse_gauss,
     random_diagram,
     splice_context,
@@ -48,6 +50,14 @@ MANY_LOOPS = ("()\n()\n()\n()", "O1+U1+O2-U2-\n()\n()\n()", "O1+U2+\nO2+U1+\n()\
 def test_splice_state_empty_diagram(unknot):
     s = splice_state(unknot, {})
     assert (s.loop_count, s.splice_exponent) == (1, 0)
+
+
+def test_state_contribution_empty_diagram():
+    # the empty diagram's one state has no loops; its term is the unit, as
+    # its bracket is
+    s = splice_state(make_diagram([]), {})
+    assert s.loop_count == 0
+    assert state_contribution(s) == LaurentPoly.one() == bracket(make_diagram([]))
 
 
 def test_splice_state_trefoil_all_a(trefoil_mirror):
@@ -185,6 +195,37 @@ def test_bracket_matches_region_oracle():
             loops = boundary_regions(g, splices=choices).region_count // 2
             total = total + LaurentPoly.monomial(1, c - 2 * bits.count("B")) * LOOP_FACTOR ** (loops - 1)
         assert bracket(d) == total
+
+
+def test_open_histograms_match_walk_oracle():
+    """Oracle for the depth-first state sum at every open crossing, not
+    only the last one that ``bracket`` leaves open: each state's loops are
+    counted by ``splice_state`` on the boundary walk, which shares no
+    union-find code, and the 2^c states are split by the choice at the
+    open crossing into its A and its B histogram, keyed by the B splices
+    among the others."""
+    rng = random.Random(23)
+    diagrams = [parse_gauss(code) for code in KINK_CASES + ("O1+U1+\n()", TREFOIL, VIRTUAL_TREFOIL)] + [
+        random_diagram(rng, rng.randrange(1, 9), components=rng.randrange(1, 4))
+        for _ in range(100)
+    ]
+    checked = 0
+    for d in diagrams:
+        c = d.crossing_count
+        states = [
+            splice_state(d, {i + 1: b for i, b in enumerate(bits)})
+            for bits in itertools.product("AB", repeat=c)
+        ]
+        g = build_ald(d)
+        for x in range(1, c + 1):
+            expected = ({}, {})
+            for s in states:
+                side = s.choices[x - 1] == "B"
+                key = (s.choices.count("B") - side, s.loop_count)
+                expected[side][key] = expected[side].get(key, 0) + 1
+            assert _open_histograms(g, x - 1) == expected
+            checked += 1
+    assert checked > 400
 
 
 def test_bracket_skein_relation_at_every_crossing():

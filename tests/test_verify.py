@@ -183,3 +183,12 @@ def test_fuzz_invariance_clean():
 def test_fuzz_zero_trials():
     report = fuzz_invariance(seed=1, trials=0)
     assert report.ok and report.trials == 0 and report.moves_applied == 0
+
+
+def test_fuzz_rejects_negative_counts():
+    # an empty run is not a passing one: negative counts are an error, as
+    # a negative order is for the finite-type recursion
+    with pytest.raises(ValueError):
+        fuzz_invariance(seed=1, trials=-3)
+    with pytest.raises(ValueError):
+        fuzz_invariance(seed=1, trials=2, max_moves=-1)
