@@ -179,7 +179,8 @@ def _sweep_cmd(args) -> int:
     else:
         print(
             f"checked {summary.total} diagrams "
-            f"({summary.colorable} colorable, {summary.alternating} alternating) "
+            f"({summary.colorable} colorable, {summary.alternating} alternating; "
+            f"{summary.state_sums} state sums) "
             f"in {summary.elapsed:.1f}s: {'ok' if summary.ok else 'FAILURES'}"
         )
         for rec in summary.failures:

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -743,13 +743,26 @@ def _encode(comps: Sequence[Sequence[Passage]]) -> tuple:
     return tuple(out)
 
 
+def _encodings(d: Diagram) -> Iterator[tuple]:
+    # the encoding of every component rotation and component order of d
+    rotations = [[comp[r:] + comp[:r] for r in range(max(1, len(comp)))] for comp in d.components]
+    return (_encode(choice) for order in permutations(rotations) for choice in product(*order))
+
+
 def canonical_form(d: Diagram) -> tuple:
     """Lexicographically least encoding over component rotations, component
     order and crossing relabeling.  Two diagrams that differ only by those
     choices have equal canonical forms.
     """
-    rotations = [[comp[r:] + comp[:r] for r in range(max(1, len(comp)))] for comp in d.components]
-    return min(_encode(choice) for order in permutations(rotations) for choice in product(*order))
+    return min(_encodings(d))
+
+
+def _is_canonical(d: Diagram) -> bool:
+    """Whether d's own components encode to its canonical form, that is
+    whether d is its orbit's representative; it stops at the first
+    smaller encoding."""
+    own = _encode(d.components)
+    return all(own <= e for e in _encodings(d))
 
 
 def random_diagram(rng: random.Random, crossings: int, components: int = 1) -> Diagram:

@@ -18,6 +18,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .ald import Coloring, _checkerboard_coloring, is_alternating, make_alternating
@@ -26,8 +27,8 @@ from .diagram import (
     Diagram,
     DiagramError,
     Passage,
-    _encode,
-    canonical_form,
+    _is_canonical,
+    _passage,
     make_diagram,
     random_diagram,
     random_move,
@@ -41,6 +42,11 @@ FUZZ_MAX_CROSSINGS = 8  # fuzz diagrams start at up to half this and stop growin
 
 class SpecTooLarge(DiagramError):
     pass
+
+
+class EmptyDiagram(DiagramError):
+    """A diagram without components, which is not a link: no property of
+    the package is stated for it."""
 
 
 @dataclass(frozen=True)
@@ -84,55 +90,74 @@ def _fill(
     """All ways to arrange ``crossings`` signed O/U pairs into components of
     the given sizes, ids normalized by first appearance.
 
-    At each position either an already-open crossing closes (with the
-    complementary role) or a fresh one opens (choosing its role and sign).
-    With ``alternating_only`` the role at each position is forced by the
-    role pattern of its component, branching only at each component head.
+    A depth-first walk places the signed word: at each position either an
+    already-open crossing closes or a fresh one opens, choosing its sign.
+    Roles come last: at each complete word every assignment of over and
+    under to the two passages of each crossing is built and yielded in
+    turn, so a word's diagrams form one consecutive run.  With
+    ``alternating_only`` an assignment is instead a head role per nonempty
+    component, alternating along it, and only those giving every crossing
+    one over and one under passage are built.  A crossing that closes on
+    its own component an even number of positions after it opened can
+    never alternate, so the walk does not place it.
     """
-    total = sum(sizes)
-    comps: list[list[Passage]] = [[] for _ in sizes]
-    open_role: dict[int, tuple[bool, int]] = {}
+    positions = [(ci, j) for ci, size in enumerate(sizes) for j in range(size)]
+    total = len(positions)
+    ends = list(accumulate(sizes))
+    bounds = list(zip([0] + ends, ends))  # each component's slice of the positions
+    # (crossing, sign, position of its opening or None if it opens here)
+    word: list[tuple[int, int, Optional[int]]] = []
+    open_at: dict[int, tuple[int, int]] = {}  # open crossing -> (sign, position)
 
-    def positions() -> list[tuple[int, int]]:
-        out = []
-        for ci, size in enumerate(sizes):
-            out.extend((ci, j) for j in range(size))
-        return out
+    def split(flat: list[Passage]) -> tuple[tuple[Passage, ...], ...]:
+        return tuple(tuple(flat[a:b]) for a, b in bounds)
 
-    pos_list = positions()
+    def leaf() -> Iterator[tuple[tuple[Passage, ...], ...]]:
+        # the positions of the two passages of each crossing
+        pairs = [(k, opened) for k, (_, _, opened) in enumerate(word) if opened is not None]
+        if alternating_only:
+            # roles alternate along each component from the role of its head
+            nonempty = [ci for ci, size in enumerate(sizes) if size]
+            for heads in product((True, False), repeat=len(nonempty)):
+                head_of = dict(zip(nonempty, heads))
+                over = [head_of[ci] != bool(j & 1) for ci, j in positions]
+                if all(over[a] != over[b] for a, b in pairs):
+                    yield split([_passage(x, o, sign) for (x, sign, _), o in zip(word, over)])
+            return
+        # a Gray code over the crossings: each step swaps the two passages
+        # of one crossing, which exchanges its over and under roles
+        flat = [_passage(x, opened is None, sign) for x, sign, opened in word]
+        yield split(flat)
+        for i in range(1, 1 << crossings):
+            a, b = pairs[(i & -i).bit_length() - 1]
+            flat[a], flat[b] = flat[b], flat[a]
+            yield split(flat)
 
     def rec(idx: int, next_id: int) -> Iterator[tuple[tuple[Passage, ...], ...]]:
         if idx == total:
-            if not open_role:
-                yield tuple(tuple(c) for c in comps)
+            if not open_at:
+                yield from leaf()
             return
-        ci, j = pos_list[idx]
-        if alternating_only and j > 0:
-            forced: Optional[bool] = not comps[ci][j - 1].over
-        else:
-            forced = None
+        ci, j = positions[idx]
         # close an open crossing
-        for cid in sorted(open_role):
-            role, sign = open_role[cid]
-            new_role = not role
-            if forced is not None and new_role != forced:
+        for x in sorted(open_at):
+            sign, k = open_at[x]
+            ck, l = positions[k]
+            if alternating_only and ck == ci and not (j - l) & 1:
                 continue
-            del open_role[cid]
-            comps[ci].append(Passage(cid, new_role, sign))
+            del open_at[x]
+            word.append((x, sign, k))
             yield from rec(idx + 1, next_id)
-            comps[ci].pop()
-            open_role[cid] = (role, sign)
+            word.pop()
+            open_at[x] = (sign, k)
         # open a new one, if the remaining positions can still close everything
-        remaining = total - idx
-        if next_id <= crossings and len(open_role) + 1 <= remaining - 1:
-            roles = (True, False) if forced is None else (forced,)
-            for role in roles:
-                for sign in (1, -1):
-                    open_role[next_id] = (role, sign)
-                    comps[ci].append(Passage(next_id, role, sign))
-                    yield from rec(idx + 1, next_id + 1)
-                    comps[ci].pop()
-                    del open_role[next_id]
+        if next_id <= crossings and len(open_at) + 1 <= total - idx - 1:
+            for sign in (1, -1):
+                open_at[next_id] = (sign, idx)
+                word.append((next_id, sign, None))
+                yield from rec(idx + 1, next_id + 1)
+                word.pop()
+                del open_at[next_id]
 
     yield from rec(0, 1)
 
@@ -145,7 +170,15 @@ def _alternation_closes(sizes: tuple[int, ...]) -> bool:
 def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
     """Yield every signed Gauss code within the spec exactly once (under
     the chosen dedupe).  Components are cyclic; codes are produced in their
-    stored linear form with first-appearance crossing ids."""
+    stored linear form with first-appearance crossing ids.
+
+    Order contract: diagrams that differ only in which passage of each
+    crossing is over, their signed word (component lengths, and the
+    crossing id and sign at each position) being the same, are yielded
+    consecutively.  Their f-polynomials are equal (see
+    :mod:`vknots.bracket`), so a caller verifying the stream in order,
+    such as :func:`sweep`, runs one state sum per signed word.
+    """
     spec.validate()
     for c in range(spec.max_crossings + 1):
         for n in range(1, spec.max_components + 1):
@@ -154,9 +187,7 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
                     continue
                 for comps in _fill(sizes, c, spec.alternating_only):
                     d = make_diagram(comps)
-                    if spec.alternating_only and not is_alternating(d):
-                        continue
-                    if spec.dedupe == "cyclic-relabel" and canonical_form(d) != _encode(d.components):
+                    if spec.dedupe == "cyclic-relabel" and not _is_canonical(d):
                         continue
                     yield d
 
@@ -200,16 +231,19 @@ class VerificationRecord:
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
     """Evaluate all per-diagram properties; ``max_crossings`` is the
     state-sum size limit of :func:`f_polynomial`.  The state sum and the
-    colorability check share one ribbon graph of ``d``.
+    colorability check share one ribbon graph of ``d``.  A diagram
+    without components raises EmptyDiagram.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
     colorable ones the f-exponents must share residue 0 mod 4 when the
     component count is odd and 2 when it is even (and f must be nonzero).
     """
+    n = d.component_count
+    if not n:
+        raise EmptyDiagram("a diagram without components is not a link")
     g = _state_sum_graph(d, max_crossings)
     f = _f_polynomial(d, g)
-    n = d.component_count
     coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)
@@ -248,6 +282,7 @@ class SweepSummary:
     total: int = 0
     colorable: int = 0
     alternating: int = 0
+    state_sums: int = 0
     failures: list[VerificationRecord] = field(default_factory=list)
     elapsed: float = 0.0
 
@@ -260,6 +295,7 @@ class SweepSummary:
             "total": self.total,
             "colorable": self.colorable,
             "alternating": self.alternating,
+            "state_sums": self.state_sums,
             "failures": [r.to_json() for r in self.failures],
             "ok": self.ok,
             "elapsed_seconds": round(self.elapsed, 3),
@@ -271,11 +307,18 @@ class SweepSummary:
 
 def sweep(spec: EnumSpec) -> SweepSummary:
     """Run :func:`verify_diagram` over the whole enumeration.  Any failure
-    recorded here disproves a theorem, so failures mean bugs."""
+    recorded here disproves a theorem, so failures mean bugs.
+
+    ``state_sums`` counts the records whose f is not the previous record's
+    f object, that is the state sums run: one per signed word while the
+    enumeration keeps each word's diagrams together."""
     start = time.perf_counter()
     summary = SweepSummary()
+    last_f = None
     for d in enumerate_diagrams(spec):
         record = verify_diagram(d)
+        summary.state_sums += record.f is not last_f
+        last_f = record.f
         summary.total += 1
         summary.colorable += record.colorable
         summary.alternating += record.alternating
@@ -365,6 +408,7 @@ def fuzz_invariance(seed: int, trials: int, max_moves: int = 4) -> FuzzReport:
 
 
 __all__ = [
+    "EmptyDiagram",
     "EnumSpec",
     "FuzzReport",
     "SpecTooLarge",

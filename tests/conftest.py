@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vknots import parse_gauss
+from vknots import LaurentPoly, Passage, bracket, make_diagram, parse_gauss, writhe
 
 # Every run draws the same property examples, so a property failure
 # reproduces from a plain rerun.  Example counts and deadlines are those
@@ -20,6 +20,21 @@ KINK_PLUS = "O1+U1+"
 FIGURE_EIGHT = "O1+U2+O3-U4-O2+U1+O4-U3-"
 UNKNOT = "()"
 HOPF = "O1+U2+\nO2+U1+"
+
+
+def swap_roles(d, crossings):
+    """d with the over and under passages of the given crossings swapped
+    and every sign kept: the same signed word, other roles."""
+    return make_diagram(
+        [[Passage(p.crossing, p.over != (p.crossing in crossings), p.sign) for p in comp] for comp in d.components]
+    )
+
+
+def memo_free_f(d) -> LaurentPoly:
+    """f = (-1)^w A^(-3w) <d> from the public bracket, which keeps no memo."""
+    w = writhe(d)
+    f = bracket(d).shift(-3 * w)
+    return -f if w & 1 else f
 
 
 @pytest.fixture

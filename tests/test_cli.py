@@ -108,6 +108,10 @@ def test_sweep_command(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["ok"] is True and blob["total"] == 53
+    # one state sum per signed word: 1 + 2 + 12 words with c <= 2
+    assert blob["state_sums"] == 15
+    code, out, _ = run(capsys, "sweep", "--max-crossings", "2")
+    assert code == 0 and "15 state sums" in out
 
 
 def test_witness_command(capsys):
@@ -126,6 +130,14 @@ def test_bad_input_exit_2(capsys):
     code, _, err = run(capsys, "fpoly", "-c", "O1+U2+O1-")
     assert code == 2
     assert "error" in err
+
+
+def test_comment_only_diagram_exit_2(capsys):
+    # a comment-only block parses to the diagram without components,
+    # which is not a link
+    code, _, err = run(capsys, "check", "-c", "# only a comment")
+    assert code == 2
+    assert "error:" in err
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,10 @@ the generalized Reidemeister moves, and of the canonical form under the
 presentation choices it quotients out.
 
 Each property compares two computations on related diagrams, so it
-checks the state sum and the colorability test without an oracle.
+checks the state sum and the colorability test without an oracle.  The
+role-swap properties are the proof obligation of the one-entry f memo:
+f depends only on the signed word, whatever passage of a crossing is
+over.
 """
 
 import random
@@ -12,7 +15,8 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vknots.bracket import f_polynomial
+from vknots.ald import build_ald
+from vknots.bracket import _open_histograms, bracket, f_polynomial
 from vknots.diagram import (
     MoveKind,
     applicable_kinds,
@@ -26,9 +30,9 @@ from vknots.diagram import (
     serialize,
 )
 from vknots.laurent import LaurentPoly
-from vknots.verify import verify_diagram
+from vknots.verify import EnumSpec, enumerate_diagrams, verify_diagram
 
-from conftest import VIRTUAL_TREFOIL_MIRROR
+from conftest import VIRTUAL_TREFOIL_MIRROR, memo_free_f, swap_roles
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -129,3 +133,29 @@ def test_moves_keep_f(d, seed):
         moved = apply_move(d, MoveKind(kind), seed)
         assert f_polynomial(moved) == f, kind
         assert verify_diagram(moved).ok, kind
+
+
+@PROPERTY
+@given(diagrams, st.data())
+def test_role_swaps_keep_open_histograms(d, data):
+    # the A splice joins the same band pairs whichever strand is over, so
+    # every open-crossing histogram, and with them f, depends on the
+    # signed word alone
+    swapped = data.draw(st.sets(st.integers(min_value=1, max_value=max(d.crossing_count, 1))))
+    variant = swap_roles(d, swapped)
+    g, h = build_ald(d), build_ald(variant)
+    for x in range(d.crossing_count):
+        assert _open_histograms(h, x) == _open_histograms(g, x)
+    assert bracket(variant) == bracket(d)
+
+
+def test_records_match_memo_free_f():
+    # the acceptance ranges in enumeration order, where the memo serves
+    # all role variants of a signed word from its first state sum
+    ranges = [
+        enumerate_diagrams(EnumSpec(4, max_components=1)),
+        (d for d in enumerate_diagrams(EnumSpec(3, max_components=2)) if d.component_count == 2),
+    ]
+    for stream in ranges:
+        for d in stream:
+            assert verify_diagram(d).f == memo_free_f(d), serialize(d)

@@ -1,13 +1,15 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 from vknots.ald import checkerboard_colorable, is_alternating, make_alternating
-from vknots.bracket import f_polynomial
+from vknots.bracket import TooManyCrossings, f_polynomial
 from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
 from vknots.verify import (
+    EmptyDiagram,
     EnumSpec,
     SpecTooLarge,
     enumerate_diagrams,
@@ -18,7 +20,7 @@ from vknots.verify import (
     verify_index_spectrum,
 )
 
-from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR
+from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR, memo_free_f, swap_roles
 
 
 def knot_count(c: int) -> int:
@@ -55,6 +57,48 @@ def test_enumeration_unique():
         key = serialize(d)
         assert key not in seen
         seen.add(key)
+
+
+def _word(d):
+    # the signed word: each component's (crossing, sign) sequence, roles dropped
+    return tuple(tuple((p.crossing, p.sign) for p in comp) for comp in d.components)
+
+
+# sha256 of the sorted serialized codes, "\n\n"-joined, that these specs
+# yielded when each signed word's diagrams were still spread over the walk
+ENUMERATION_DIGESTS = {
+    EnumSpec(4, max_components=1): "012d1753cab97d2899753f56f93f2b029e1ea98c1b49e27bd6bd09408ea636a2",
+    EnumSpec(3, max_components=2): "e658059d02eb51396107a7027231e68db97b0d388bcde293a7dd2bbfa13bd8db",
+    EnumSpec(4, max_components=1, dedupe="cyclic-relabel"):
+        "6777fbd06730540312ef10914917ddef9489de063f41ece0e228ca9a9b8af860",
+    EnumSpec(4, max_components=2, alternating_only=True):
+        "2304260be10cac5969df4124773f91a3ee0b811cc416700f4e210eb1c5623b9d",
+}
+
+
+@pytest.mark.parametrize("spec", list(ENUMERATION_DIGESTS), ids=["4-1", "3-2", "4-1-relabel", "4-2-alternating"])
+def test_enumeration_contract(spec):
+    """The yielded set is pinned, and each signed word's diagrams form one
+    consecutive run: the order the one-entry f memo relies on."""
+    codes = []
+    finished = set()
+    current = None
+    for d in enumerate_diagrams(spec):
+        codes.append(serialize(d))
+        word = _word(d)
+        if word != current:
+            assert word not in finished, serialize(d)
+            finished.add(current)
+            current = word
+    assert len(set(codes)) == len(codes)
+    digest = hashlib.sha256("\n\n".join(sorted(codes)).encode()).hexdigest()
+    assert digest == ENUMERATION_DIGESTS[spec]
+
+
+def test_alternating_enumeration_is_filtered_full_enumeration():
+    alternating = set(enumerate_diagrams(EnumSpec(4, max_components=2, alternating_only=True)))
+    full = {d for d in enumerate_diagrams(EnumSpec(4, max_components=2)) if is_alternating(d)}
+    assert alternating == full
 
 
 def test_dedupe_is_orbit_transversal():
@@ -122,7 +166,7 @@ def test_verify_diagram_matches_standalone_checks():
     colorability check; its record must equal what the standalone public
     functions, each building its own graph, return."""
     rng = random.Random(23)
-    diagrams = [make_diagram([]), parse_gauss("()"), parse_gauss("()\n()\n()"), parse_gauss("O1+U1+\n()")]
+    diagrams = [parse_gauss("()"), parse_gauss("()\n()\n()"), parse_gauss("O1+U1+\n()")]
     diagrams += [
         random_diagram(rng, rng.randrange(0, 9), components=rng.randrange(1, 4))
         for _ in range(200)
@@ -136,6 +180,35 @@ def test_verify_diagram_matches_standalone_checks():
             assert record.coloring.to_json() == coloring.to_json()
         assert record.alternating == is_alternating(d)
         assert record.alternating_equiv_ok == ((make_alternating(d) is not None) == (coloring is not None))
+    # a diagram without components is not a link
+    with pytest.raises(EmptyDiagram):
+        verify_diagram(make_diagram([]))
+
+
+def test_f_memo_edges():
+    """f is memoized for the last diagram only, up to roles: a role variant
+    gets the previous f object, any other diagram a fresh f."""
+    d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
+    first = verify_diagram(d).f
+    variant = swap_roles(d, {1, 3})
+    assert verify_diagram(variant).f is first
+    assert f_polynomial(d) is first
+    others = [
+        parse_gauss("O1-U2-O3+\nU1-U3+O2-"),  # one sign changed, roles kept
+        parse_gauss("O1+U2-O3+\nU1+U3+O2-\n()"),  # a free loop added
+        parse_gauss("U1+U3+O2-\nO1+U2-O3+"),  # the components reordered
+    ]
+    for other in others:
+        f_d = verify_diagram(d).f
+        f_other = verify_diagram(other).f
+        assert f_other is not f_d
+        assert f_other == memo_free_f(other)
+    # the size limit is checked before the memo is read
+    verify_diagram(d)
+    with pytest.raises(TooManyCrossings):
+        verify_diagram(variant, max_crossings=2)
+    with pytest.raises(TooManyCrossings):
+        f_polynomial(variant, max_crossings=2)
 
 
 def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
@@ -148,10 +221,15 @@ def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
 def test_sweep_small_ranges():
     s = sweep(EnumSpec(3, max_components=1))
     assert s.ok and s.total == sum(knot_count(k) for k in range(4))
+    # one state sum per signed word: (2c)!/c! knot words with c crossings
+    assert s.state_sums == 135
     s = sweep(EnumSpec(2, max_components=2))
     assert s.ok
     blob = s.to_json()
     assert blob["ok"] is True and blob["failures"] == []
+    s = sweep(EnumSpec(3, max_components=2))
+    assert s.ok and s.state_sums == 1042
+    assert s.to_json()["state_sums"] == 1042
 
 
 def test_witness_absent_small():
