@@ -36,12 +36,13 @@ incoming end to the other strand's outgoing end, at a negative one
 in-to-in and out-to-out, whichever strand is over; the bands are
 numbered in arc order, which roles do not change, so every role
 assignment of a word gives the same splice rows, histograms and writhe.
-``_f_polynomial`` therefore keeps a one-entry memo, the last diagram
-it summed with its f, and returns that f object for a diagram of the
-same word.  ``enumerate_diagrams`` yields a word's role variants one
-after another, so ``sweep`` runs one state sum per word.  ``bracket``,
-``bracket_parallel``, ``index_spectrum`` and the skein checks keep no
-memo; ``bracket`` is the oracle the tests compare the memo against.
+``verify.verify_diagram`` therefore keeps a one-entry memo, the last
+diagram whose state sum it ran with its f, and reuses that f object for
+a diagram of the same word; ``enumerate_diagrams`` yields a word's role
+variants one after another, so ``sweep`` runs one state sum per word.
+Nothing in this module keeps a memo: ``f_polynomial``, ``bracket``,
+``bracket_parallel``, ``index_spectrum`` and the skein checks sum every
+diagram they are given, and the tests use them as the memo's oracle.
 """
 
 from __future__ import annotations
@@ -300,37 +301,9 @@ def _normalize(w: int, br: LaurentPoly) -> LaurentPoly:
     return -f if w & 1 else f
 
 
-def _same_word(d: Diagram, e: Diagram) -> bool:
-    """Whether d and e have one signed word: the same component lengths
-    and the same crossing id and sign at each position, whatever the
-    roles."""
-    if len(d.components) != len(e.components):
-        return False
-    for comp_d, comp_e in zip(d.components, e.components):
-        if len(comp_d) != len(comp_e):
-            return False
-        for p, q in zip(comp_d, comp_e):
-            if p.crossing != q.crossing or p.sign != q.sign:
-                return False
-    return True
-
-
-# The one-entry memo of _f_polynomial: the last diagram it summed and its f.
-_last_f: Optional[tuple[Diagram, LaurentPoly]] = None
-
-
 def _f_polynomial(d: Diagram, g: RibbonGraph) -> LaurentPoly:
-    # the body of f_polynomial, for callers that already hold the graph.
-    # The memo entry is read once and replaced by one assignment, so a
-    # caller in another thread sees either the old or the new pair, and
-    # each pair is a diagram with its own f.
-    global _last_f
-    last = _last_f
-    if last is not None and _same_word(last[0], d):
-        return last[1]
-    f = _normalize(writhe(d), _bracket(g))
-    _last_f = (d, f)
-    return f
+    # the body of f_polynomial, for callers that already hold the graph
+    return _normalize(writhe(d), _bracket(g))
 
 
 def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:

@@ -228,11 +228,33 @@ class VerificationRecord:
         }
 
 
+def _same_word(d: Diagram, e: Diagram) -> bool:
+    """Whether d and e have one signed word: the same component lengths
+    and the same crossing id and sign at each position, whatever the
+    roles.  f depends on the word alone (see :mod:`vknots.bracket`)."""
+    if len(d.components) != len(e.components):
+        return False
+    for comp_d, comp_e in zip(d.components, e.components):
+        if len(comp_d) != len(comp_e):
+            return False
+        for p, q in zip(comp_d, comp_e):
+            if p.crossing != q.crossing or p.sign != q.sign:
+                return False
+    return True
+
+
+# The one-entry f memo of verify_diagram: the last diagram whose state sum
+# it ran, and that f.
+_last_f: Optional[tuple[Diagram, LaurentPoly]] = None
+
+
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
     """Evaluate all per-diagram properties; ``max_crossings`` is the
     state-sum size limit of :func:`f_polynomial`.  The state sum and the
     colorability check share one ribbon graph of ``d``.  A diagram
-    without components raises EmptyDiagram.
+    without components raises EmptyDiagram.  A diagram with the signed
+    word of the previous call's diagram reuses that call's f object
+    instead of running its own state sum; any other runs one.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
@@ -243,7 +265,16 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     if not n:
         raise EmptyDiagram("a diagram without components is not a link")
     g = _state_sum_graph(d, max_crossings)
-    f = _f_polynomial(d, g)
+    # the memo entry is read once and replaced by one assignment, so a
+    # caller in another thread sees either the old or the new pair, and
+    # each pair is a diagram with its own f
+    global _last_f
+    last = _last_f
+    if last is not None and _same_word(last[0], d):
+        f = last[1]
+    else:
+        f = _f_polynomial(d, g)
+        _last_f = (d, f)
     coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)

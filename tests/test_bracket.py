@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -34,7 +32,7 @@ from vknots.diagram import (
 )
 from vknots.laurent import LOOP_FACTOR, LaurentPoly
 
-from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL, memo_free_f, swap_roles
+from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
 
 F_TREFOIL = LaurentPoly({4: 1, 12: 1, 16: -1})
 F_VIRTUAL_TREFOIL = LaurentPoly({4: 1, 6: 1, 10: -1})
@@ -424,33 +422,3 @@ def test_recursion_check_virtual_trefoil(virtual_trefoil_mirror):
     assert all(report.series_match_l)
     assert not all(report.series_match_negated_l)
     assert report.identified_convention == "as-defined"
-
-
-def test_f_memo_under_threads():
-    # the memo entry is one (diagram, f) pair replaced whole, so threads
-    # racing on it, more of them than cores, each get their own diagram's f
-    rng = random.Random(5)
-    diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
-    diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
-    expected = [memo_free_f(d) for d in diagrams]
-    wrong = []
-
-    def work(seed):
-        r = random.Random(seed)
-        for _ in range(2000):
-            i = r.randrange(len(diagrams))
-            if f_polynomial(diagrams[i]) != expected[i]:
-                wrong.append(i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -186,13 +188,15 @@ def test_verify_diagram_matches_standalone_checks():
 
 
 def test_f_memo_edges():
-    """f is memoized for the last diagram only, up to roles: a role variant
-    gets the previous f object, any other diagram a fresh f."""
+    """verify_diagram memoizes f for the last diagram only, up to roles: a
+    role variant gets the previous f object, any other diagram a fresh f."""
     d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
     first = verify_diagram(d).f
     variant = swap_roles(d, {1, 3})
     assert verify_diagram(variant).f is first
-    assert f_polynomial(d) is first
+    # f_polynomial keeps no memo: it sums the variant itself
+    f_variant = f_polynomial(variant)
+    assert f_variant is not first and f_variant == first
     others = [
         parse_gauss("O1-U2-O3+\nU1-U3+O2-"),  # one sign changed, roles kept
         parse_gauss("O1+U2-O3+\nU1+U3+O2-\n()"),  # a free loop added
@@ -209,6 +213,36 @@ def test_f_memo_edges():
         verify_diagram(variant, max_crossings=2)
     with pytest.raises(TooManyCrossings):
         f_polynomial(variant, max_crossings=2)
+
+
+def test_f_memo_under_threads():
+    # the memo entry is one (diagram, f) pair replaced whole, so threads
+    # racing on it, more of them than cores, each get their own diagram's f
+    rng = random.Random(5)
+    diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
+    diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
+    expected = [memo_free_f(d) for d in diagrams]
+    wrong = []
+
+    def work(seed):
+        r = random.Random(seed)
+        for _ in range(2000):
+            i = r.randrange(len(diagrams))
+            if verify_diagram(diagrams[i]).f != expected[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
