@@ -114,6 +114,14 @@ def _slot(over: bool, outgoing: bool, sign: int) -> int:
     return 1 if outgoing else 3
 
 
+# The darts of a passage at its crossing, less 4 * crossing: (incoming,
+# outgoing) strand end, indexed [over][sign].  Sign -1 reads the last entry.
+_ENDS = tuple(
+    (None,) + tuple((_slot(over, False, sign) - 4, _slot(over, True, sign) - 4) for sign in (1, -1))
+    for over in (False, True)
+)
+
+
 def build_ald(d: Diagram) -> RibbonGraph:
     """The ribbon graph of the diagram under the rotation convention above."""
     c = d.crossing_count
@@ -122,19 +130,27 @@ def build_ald(d: Diagram) -> RibbonGraph:
     edges: list[tuple[int, int]] = []
     free = 0
     for comp in d.components:
-        m = len(comp)
-        if m == 0:
+        if not comp:
             free += 1
             continue
-        for j in range(m):
-            p = comp[j]
-            q = comp[(j + 1) % m]
-            tail = 4 * (p.crossing - 1) + _slot(p.over, True, p.sign)
-            head = 4 * (q.crossing - 1) + _slot(q.over, False, q.sign)
+        # band j runs from the outgoing end of passage j to the incoming
+        # end of passage j + 1; the last closes the component at its head
+        x, over, sign = comp[0]
+        first, tail = _ENDS[over][sign]
+        first += 4 * x
+        tail += 4 * x
+        for x, over, sign in comp[1:]:
+            into, out = _ENDS[over][sign]
+            head = 4 * x + into
             alpha[tail] = head
             alpha[head] = tail
             band_of[tail] = band_of[head] = len(edges)
             edges.append((tail, head))
+            tail = 4 * x + out
+        alpha[tail] = first
+        alpha[first] = tail
+        band_of[tail] = band_of[first] = len(edges)
+        edges.append((tail, first))
     return RibbonGraph(
         vertex_count=c,
         alpha=tuple(alpha),
@@ -188,27 +204,38 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
     exactly one walk; the two darts of an edge give its two sides.
     """
     n = 4 * g.vertex_count
-    alpha, band_of, edges = g.alpha, g.band_of_dart, g.edges
-    steps = [
-        _ROTATION if not splices or v + 1 not in splices
-        else _A_PAIRING if splices[v + 1] == "A" else _B_PAIRING
-        for v in range(g.vertex_count)
-    ]
-    # turn[dart]: the dart a walk leaves by after arriving at ``dart``
-    turn = [4 * v + t for v, step in enumerate(steps) for t in step]
+    alpha, edges = g.alpha, g.edges
+    # side[dart]: the (edge index, side) entry of dart in its region, side
+    # 0 for the tail of its band and 1 for the head
+    side: list[Optional[tuple[int, int]]] = [None] * n
+    for ei, (t, h) in enumerate(edges):
+        side[t] = (ei, 0)
+        side[h] = (ei, 1)
+    # succ[dart]: the dart a walk leaves by after the band from ``dart``
+    if splices:
+        steps = [
+            _ROTATION if v + 1 not in splices
+            else _A_PAIRING if splices[v + 1] == "A" else _B_PAIRING
+            for v in range(g.vertex_count)
+        ]
+        turn = [4 * v + t for v, step in enumerate(steps) for t in step]
+        succ = [turn[a] for a in alpha]
+    else:
+        # the rotation: the next slot of the far vertex
+        succ = [a + 1 if a & 3 != 3 else a - 3 for a in alpha]
 
     region_of = [-1] * n
     regions: list[tuple[tuple[int, int], ...]] = []
     for start in range(n):
         if region_of[start] != -1:
             continue
+        r = len(regions)
         cycle = []
         dart = start
         while region_of[dart] == -1:
-            region_of[dart] = len(regions)
-            ei = band_of[dart]
-            cycle.append((ei, 0 if edges[ei][0] == dart else 1))
-            dart = turn[alpha[dart]]
+            region_of[dart] = r
+            cycle.append(side[dart])
+            dart = succ[dart]
         regions.append(tuple(cycle))
     constraints = [(region_of[t], region_of[h]) for t, h in edges]
     # free loops: an annulus each, two one-sided regions on a pseudo edge
@@ -228,14 +255,15 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
 def _two_color(regions: RegionSet) -> Optional[list[str]]:
     """2-color the constraint graph, first-discovered region in each piece
     black.  None when some piece is not bipartite."""
-    adj: dict[int, list[int]] = {i: [] for i in range(regions.region_count)}
+    count = len(regions.regions)
+    adj: list[list[int]] = [[] for _ in range(count)]
     for a, b in regions.constraints:
         if a == b:
             return None
         adj[a].append(b)
         adj[b].append(a)
-    colors: list[Optional[str]] = [None] * regions.region_count
-    for root in range(regions.region_count):
+    colors: list[Optional[str]] = [None] * count
+    for root in range(count):
         if colors[root] is not None:
             continue
         colors[root] = BLACK
@@ -281,57 +309,53 @@ def is_alternating(d: Diagram) -> bool:
     return True
 
 
-class _ParityDSU:
-    """Union-find where each element carries a parity relative to its root."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.parity = [0] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        p = 0
-        for y in reversed(path):
-            p ^= self.parity[y]
-            self.parent[y] = x
-            self.parity[y] = p
-        return x, 0 if not path else self.parity[path[0]]
-
-    def union(self, x: int, y: int, rel: int) -> bool:
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        self.parent[ry] = rx
-        self.parity[ry] = px ^ py ^ rel
-        return True
-
-
 def make_alternating(d: Diagram) -> Optional[frozenset[int]]:
     """A set of crossings whose change makes the diagram alternating, or
     None when no crossing changes can.  An already-alternating diagram
     yields the empty set."""
     c = d.crossing_count
-    dsu = _ParityDSU(c + 1)
+    # a union-find over the crossings: parity[x] is 1 when exactly one of
+    # x and parent[x] is changed, and roots are not changed.  A union
+    # hangs the root of its second crossing under that of its first, and
+    # each find halves its path.
+    parent = list(range(c + 1))
+    parity = [0] * (c + 1)
     for comp in d.components:
-        m = len(comp)
-        for j in range(m):
-            p, q = comp[j], comp[(j + 1) % m]
-            rel = 1 ^ (p.over ^ q.over)
-            if p.crossing == q.crossing:
-                if rel == 1:
+        for (x, x_over, _), (y, y_over, _) in zip(comp, comp[1:] + comp[:1]):
+            # consecutive passages of one role alternate once exactly one
+            # of their crossings is changed (``rel``); of two roles, once
+            # neither or both are
+            rel = x_over == y_over
+            if x == y:
+                if rel:
                     return None
                 continue
-            if not dsu.union(p.crossing, q.crossing, rel):
-                return None
-    changes = set()
+            while parent[x] != x:
+                up = parent[x]
+                parity[x] ^= parity[up]
+                rel ^= parity[x]
+                parent[x] = x = parent[up]
+            while parent[y] != y:
+                up = parent[y]
+                parity[y] ^= parity[up]
+                rel ^= parity[y]
+                parent[y] = y = parent[up]
+            if x == y:
+                if rel:
+                    return None
+            else:
+                parent[y] = x
+                parity[y] = rel
+    changes = []
     for cid in range(1, c + 1):
-        root, parity = dsu.find(cid)
-        if parity:
-            changes.add(cid)
+        x, flip = cid, 0
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            flip ^= parity[x]
+            parent[x] = x = parent[up]
+        if flip:
+            changes.append(cid)
     return frozenset(changes)
 
 

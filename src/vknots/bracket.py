@@ -36,10 +36,13 @@ incoming end to the other strand's outgoing end, at a negative one
 in-to-in and out-to-out, whichever strand is over; the bands are
 numbered in arc order, which roles do not change, so every role
 assignment of a word gives the same splice rows, histograms and writhe.
-``verify.verify_diagram`` therefore keeps a one-entry memo, the last
-diagram whose state sum it ran with its f, and reuses that f object for
-a diagram of the same word; ``enumerate_diagrams`` yields a word's role
-variants one after another, so ``sweep`` runs one state sum per word.
+``verify.verify_diagram`` therefore keeps a one-entry memo: the last
+diagram whose state sum it ran, with its f and the verdict parts that
+depend on f alone (the congruence class and the check of f(1), the
+component count being fixed by the word).  A diagram of the same word
+reuses that f object and those verdicts; ``enumerate_diagrams`` yields a
+word's role variants one after another, so ``sweep`` runs one state sum
+per word.
 Nothing in this module keeps a memo: ``f_polynomial``, ``bracket``,
 ``bracket_parallel``, ``index_spectrum`` and the skein checks sum every
 diagram they are given, and the tests use them as the memo's oracle.

@@ -93,7 +93,7 @@ class Diagram:
 
     @property
     def crossing_count(self) -> int:
-        return sum(len(comp) for comp in self.components) // 2
+        return sum(map(len, self.components)) // 2
 
     @property
     def component_count(self) -> int:

@@ -29,7 +29,6 @@ from .diagram import (
     Passage,
     _is_canonical,
     _passage,
-    make_diagram,
     random_diagram,
     random_move,
     serialize,
@@ -172,6 +171,12 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
     the chosen dedupe).  Components are cyclic; codes are produced in their
     stored linear form with first-appearance crossing ids.
 
+    Diagrams are valid by construction, not through :func:`make_diagram`:
+    ``_fill`` places each crossing once over and once under with one sign,
+    numbers crossings by first appearance and builds every passage with
+    the shared ``_passage``, so each component tuple it yields is already
+    what ``make_diagram`` would return, and is wrapped as it is.
+
     Order contract: diagrams that differ only in which passage of each
     crossing is over, their signed word (component lengths, and the
     crossing id and sign at each position) being the same, are yielded
@@ -186,7 +191,7 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
                 if spec.alternating_only and not _alternation_closes(sizes):
                     continue
                 for comps in _fill(sizes, c, spec.alternating_only):
-                    d = make_diagram(comps)
+                    d = Diagram(comps)
                     if spec.dedupe == "cyclic-relabel" and not _is_canonical(d):
                         continue
                     yield d
@@ -243,9 +248,10 @@ def _same_word(d: Diagram, e: Diagram) -> bool:
     return True
 
 
-# The one-entry f memo of verify_diagram: the last diagram whose state sum
-# it ran, and that f.
-_last_f: Optional[tuple[Diagram, LaurentPoly]] = None
+# The one-entry memo of verify_diagram: the last diagram whose state sum
+# it ran, that f, and the verdict parts that depend on f alone (its
+# congruence class, and whether f(1) = (-2)^(n-1), n being fixed by the word).
+_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool]] = None
 
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
@@ -253,8 +259,9 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     state-sum size limit of :func:`f_polynomial`.  The state sum and the
     colorability check share one ribbon graph of ``d``.  A diagram
     without components raises EmptyDiagram.  A diagram with the signed
-    word of the previous call's diagram reuses that call's f object
-    instead of running its own state sum; any other runs one.
+    word of the previous call's diagram reuses that call's f object, its
+    congruence class and its f(1) verdict instead of running its own
+    state sum; any other runs one.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
@@ -266,23 +273,23 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
         raise EmptyDiagram("a diagram without components is not a link")
     g = _state_sum_graph(d, max_crossings)
     # the memo entry is read once and replaced by one assignment, so a
-    # caller in another thread sees either the old or the new pair, and
-    # each pair is a diagram with its own f
-    global _last_f
-    last = _last_f
+    # caller in another thread sees either the old or the new entry, and
+    # each entry is a diagram with its own f and verdict parts
+    global _last
+    last = _last
     if last is not None and _same_word(last[0], d):
-        f = last[1]
+        _, f, congruence, unit_eval_ok = last
     else:
         f = _f_polynomial(d, g)
-        _last_f = (d, f)
+        congruence = f.congruence_class_mod4()
+        unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
+        _last = (d, f, congruence, unit_eval_ok)
     coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)
-    congruence = f.congruence_class_mod4()
     expected = 0 if n % 2 == 1 else 2
     congruence_ok = (not colorable) or (bool(f) and congruence == expected)
     alternating_equiv_ok = (make_alternating(d) is not None) == colorable
-    unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
     return VerificationRecord(
         diagram=d,
         coloring=coloring,
@@ -301,7 +308,10 @@ def verify_index_spectrum(
     """(sorted state-index spectrum, colorable, verdict): the package's one
     statement of the index-spectrum verdict, that a checkerboard colorable
     diagram has a single state index.  ``max_crossings`` is the state-sum
-    size limit of :func:`index_spectrum`."""
+    size limit of :func:`index_spectrum`.  A diagram without components
+    raises EmptyDiagram, as in :func:`verify_diagram`."""
+    if not d.component_count:
+        raise EmptyDiagram("a diagram without components is not a link")
     g = _state_sum_graph(d, max_crossings)
     spectrum = sorted(_index_spectrum(g))
     colorable = _checkerboard_coloring(g) is not None

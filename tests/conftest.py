@@ -37,6 +37,13 @@ def memo_free_f(d) -> LaurentPoly:
     return -f if w & 1 else f
 
 
+def memo_free_verdict_parts(d) -> tuple:
+    """(f, its congruence class, whether f(1) = (-2)^(n-1)) from
+    memo_free_f: what verify_diagram's memo keeps for a signed word."""
+    f = memo_free_f(d)
+    return f, f.congruence_class_mod4(), f.evaluate_at_one() == (-2) ** (d.component_count - 1)
+
+
 @pytest.fixture
 def trefoil():
     return parse_gauss(TREFOIL)

@@ -135,9 +135,10 @@ def test_bad_input_exit_2(capsys):
 def test_comment_only_diagram_exit_2(capsys):
     # a comment-only block parses to the diagram without components,
     # which is not a link
-    code, _, err = run(capsys, "check", "-c", "# only a comment")
-    assert code == 2
-    assert "error:" in err
+    for command in ("check", "verify"):
+        code, out, err = run(capsys, command, "-c", "# only a comment")
+        assert code == 2, command
+        assert "error:" in err and "ok" not in out
 
 
 @pytest.mark.parametrize(

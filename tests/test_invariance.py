@@ -32,7 +32,7 @@ from vknots.diagram import (
 from vknots.laurent import LaurentPoly
 from vknots.verify import EnumSpec, enumerate_diagrams, verify_diagram
 
-from conftest import VIRTUAL_TREFOIL_MIRROR, memo_free_f, swap_roles
+from conftest import VIRTUAL_TREFOIL_MIRROR, memo_free_verdict_parts, swap_roles
 
 PROPERTY = settings(max_examples=100, deadline=None)
 
@@ -151,11 +151,14 @@ def test_role_swaps_keep_open_histograms(d, data):
 
 def test_records_match_memo_free_f():
     # the acceptance ranges in enumeration order, where the memo serves
-    # all role variants of a signed word from its first state sum
+    # all role variants of a signed word from its first state sum, with
+    # the congruence class and f(1) verdict of that sum
     ranges = [
         enumerate_diagrams(EnumSpec(4, max_components=1)),
         (d for d in enumerate_diagrams(EnumSpec(3, max_components=2)) if d.component_count == 2),
     ]
     for stream in ranges:
         for d in stream:
-            assert verify_diagram(d).f == memo_free_f(d), serialize(d)
+            record = verify_diagram(d)
+            parts = (record.f, record.congruence, record.unit_eval_ok)
+            assert parts == memo_free_verdict_parts(d), serialize(d)

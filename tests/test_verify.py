@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import sys
@@ -6,7 +7,7 @@ import threading
 
 import pytest
 
-from vknots.ald import checkerboard_colorable, is_alternating, make_alternating
+from vknots.ald import build_ald, checkerboard_colorable, is_alternating, make_alternating
 from vknots.bracket import TooManyCrossings, f_polynomial
 from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
@@ -22,7 +23,7 @@ from vknots.verify import (
     verify_index_spectrum,
 )
 
-from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR, memo_free_f, swap_roles
+from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR, memo_free_f, memo_free_verdict_parts, swap_roles
 
 
 def knot_count(c: int) -> int:
@@ -95,6 +96,19 @@ def test_enumeration_contract(spec):
     assert len(set(codes)) == len(codes)
     digest = hashlib.sha256("\n\n".join(sorted(codes)).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("spec", list(ENUMERATION_DIGESTS), ids=["4-1", "3-2", "4-1-relabel", "4-2-alternating"])
+def test_enumeration_yields_valid_diagrams(spec):
+    """enumerate_diagrams wraps the components it builds without passing
+    them through make_diagram: each must already be what make_diagram
+    returns, renumbered, valid, and made of the shared passage tuples."""
+    for d in enumerate_diagrams(spec):
+        checked = make_diagram(d.components)
+        assert checked == d, serialize(d)
+        assert all(
+            p is q for comp_d, comp_c in zip(d.components, checked.components) for p, q in zip(comp_d, comp_c)
+        ), serialize(d)
 
 
 def test_alternating_enumeration_is_filtered_full_enumeration():
@@ -187,13 +201,42 @@ def test_verify_diagram_matches_standalone_checks():
         verify_diagram(make_diagram([]))
 
 
+# sha256 of the per-diagram outputs hashed in test_kernel_outputs_pinned,
+# as computed by the ald kernels before they were rewritten for speed
+KERNEL_DIGEST = "a95e9cce1c5e06b428f807b2e385303f5d81fddfb9a5f53666602e0fff7174bc"
+
+
+def test_kernel_outputs_pinned():
+    """verify_diagram's record and coloring, make_alternating's change set
+    and build_ald's graph, byte for byte, over whole enumeration streams:
+    the region tracing, 2-colouring and union-find orders they depend on
+    are pinned, not only the verdicts."""
+    digest = hashlib.sha256()
+    for spec in (EnumSpec(4, max_components=1), EnumSpec(3, max_components=2)):
+        for d in enumerate_diagrams(spec):
+            record = verify_diagram(d)
+            changes = make_alternating(d)
+            blob = [
+                record.to_json(),
+                None if record.coloring is None else record.coloring.to_json(),
+                None if changes is None else sorted(changes),
+                repr(build_ald(d)),
+            ]
+            digest.update(json.dumps(blob, separators=(",", ":")).encode() + b"\n")
+    assert digest.hexdigest() == KERNEL_DIGEST
+
+
 def test_f_memo_edges():
     """verify_diagram memoizes f for the last diagram only, up to roles: a
     role variant gets the previous f object, any other diagram a fresh f."""
     d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
-    first = verify_diagram(d).f
+    record = verify_diagram(d)
+    first = record.f
     variant = swap_roles(d, {1, 3})
-    assert verify_diagram(variant).f is first
+    reused = verify_diagram(variant)
+    assert reused.f is first
+    # the verdict parts that depend on f alone come with it
+    assert (reused.congruence, reused.unit_eval_ok) == (record.congruence, record.unit_eval_ok)
     # f_polynomial keeps no memo: it sums the variant itself
     f_variant = f_polynomial(variant)
     assert f_variant is not first and f_variant == first
@@ -216,19 +259,21 @@ def test_f_memo_edges():
 
 
 def test_f_memo_under_threads():
-    # the memo entry is one (diagram, f) pair replaced whole, so threads
-    # racing on it, more of them than cores, each get their own diagram's f
+    # the memo entry is one (diagram, f, congruence, f(1) verdict) tuple
+    # replaced whole, so threads racing on it, more of them than cores,
+    # each get their own diagram's f and verdict parts
     rng = random.Random(5)
     diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
     diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
-    expected = [memo_free_f(d) for d in diagrams]
+    expected = [memo_free_verdict_parts(d) for d in diagrams]
     wrong = []
 
     def work(seed):
         r = random.Random(seed)
         for _ in range(2000):
             i = r.randrange(len(diagrams))
-            if verify_diagram(diagrams[i]).f != expected[i]:
+            record = verify_diagram(diagrams[i])
+            if (record.f, record.congruence, record.unit_eval_ok) != expected[i]:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -250,6 +295,9 @@ def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
     assert (len(spectrum), colorable, ok) == (1, True, True)
     # not colorable: the verdict holds whatever the spectrum
     assert verify_index_spectrum(virtual_trefoil_mirror) == ([0, 2], False, True)
+    # a diagram without components is not a link: no verdict, passing or not
+    with pytest.raises(EmptyDiagram):
+        verify_index_spectrum(make_diagram([]))
 
 
 def test_sweep_small_ranges():
