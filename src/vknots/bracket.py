@@ -35,17 +35,10 @@ the slot rule of ``ald``: at a positive crossing the A splice joins each
 incoming end to the other strand's outgoing end, at a negative one
 in-to-in and out-to-out, whichever strand is over; the bands are
 numbered in arc order, which roles do not change, so every role
-assignment of a word gives the same splice rows, histograms and writhe.
-``verify.verify_diagram`` therefore keeps a one-entry memo: the last
-diagram whose state sum it ran, with its f and the verdict parts that
-depend on f alone (the congruence class and the check of f(1), the
-component count being fixed by the word).  A diagram of the same word
-reuses that f object and those verdicts; ``enumerate_diagrams`` yields a
-word's role variants one after another, so ``sweep`` runs one state sum
-per word.
-Nothing in this module keeps a memo: ``f_polynomial``, ``bracket``,
-``bracket_parallel``, ``index_spectrum`` and the skein checks sum every
-diagram they are given, and the tests use them as the memo's oracle.
+assignment of a word gives the same splice rows, histograms and writhe
+(``vknots.verify`` keeps its one-entry memo on this).  Nothing in this
+module keeps a memo: ``f_polynomial``, ``bracket``, ``bracket_parallel``,
+``index_spectrum`` and the skein checks sum every diagram they are given.
 """
 
 from __future__ import annotations
@@ -304,30 +297,28 @@ def _normalize(w: int, br: LaurentPoly) -> LaurentPoly:
     return -f if w & 1 else f
 
 
-def _f_polynomial(d: Diagram, g: RibbonGraph) -> LaurentPoly:
-    # the body of f_polynomial, for callers that already hold the graph
-    return _normalize(writhe(d), _bracket(g))
-
-
 def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly:
     """The normalized bracket (-A^3)^(-writhe) <D>, invariant under all
     generalized Reidemeister moves."""
-    return _f_polynomial(d, _state_sum_graph(d, max_crossings))
+    return _normalize(writhe(d), _bracket(_state_sum_graph(d, max_crossings)))
 
 
-def _index_spectrum(g: RibbonGraph) -> set[int]:
-    # the body of index_spectrum, for callers that already hold the graph
-    c = g.vertex_count
+def _spectrum(c: int, hist: Mapping[tuple[int, int], int]) -> set[int]:
+    # the state indices of a c-crossing diagram's (#B, loops) histogram;
     # the empty diagram's one state (no loops) counts as the unknot's
-    return {
-        (c - 2 * n_b + 2 * max(loops, 1) - 2) % 4
-        for n_b, loops in _state_histogram(g)
-    }
+    return {(c - 2 * n_b + 2 * max(loops, 1) - 2) % 4 for n_b, loops in hist}
+
+
+def _word_invariants(d: Diagram, hist: Mapping[tuple[int, int], int]) -> tuple[LaurentPoly, tuple[int, ...]]:
+    # f and the sorted index spectrum of d from its state histogram
+    c = d.crossing_count
+    return _normalize(writhe(d), _assemble(c, hist)), tuple(sorted(_spectrum(c, hist)))
 
 
 def index_spectrum(d: Diagram, max_crossings: Optional[int] = None) -> set[int]:
     """The set of state indices over all states of the diagram."""
-    return _index_spectrum(_state_sum_graph(d, max_crossings))
+    g = _state_sum_graph(d, max_crossings)
+    return _spectrum(g.vertex_count, _state_histogram(g))
 
 
 # ---------------------------------------------------------------------------

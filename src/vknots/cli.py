@@ -4,7 +4,8 @@ Subcommands: fpoly, bracket, check, verify, sweep, witness, fuzz.  Each
 prints what a library function returns: ``fpoly`` and ``bracket`` print
 :func:`f_polynomial` and :func:`bracket`, ``check`` prints the record of
 :func:`verify_diagram` and exits on its congruence verdict, and ``verify``
-prints the skein reports and the verdict of :func:`verify_index_spectrum`.
+prints the skein reports with the index spectrum and index verdict of
+that record.
 Exit codes: 0 success, 1 a verified property failed, 2 bad input/usage.
 """
 
@@ -32,7 +33,6 @@ from .verify import (
     fuzz_invariance,
     sweep,
     verify_diagram,
-    verify_index_spectrum,
 )
 
 
@@ -79,11 +79,12 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _add_limits(p: argparse.ArgumentParser) -> None:
-    # a string default (the environment value) goes through type=int, so a
-    # malformed VKNOTS_MAX_CROSSINGS is a usage error like a malformed flag
+    # a string default (the environment value) goes through the type check,
+    # so a malformed or negative VKNOTS_MAX_CROSSINGS is a usage error like
+    # a malformed or negative flag
     p.add_argument(
         "--max-crossings",
-        type=int,
+        type=_nonnegative_int,
         default=os.environ.get("VKNOTS_MAX_CROSSINGS", DEFAULT_MAX_CROSSINGS),
         help=f"state-sum size limit (default {DEFAULT_MAX_CROSSINGS}, or VKNOTS_MAX_CROSSINGS)",
     )
@@ -139,7 +140,8 @@ def _verify_cmd(args) -> int:
     failures = 0
     out = []
     for d in _read_diagrams(args):
-        spectrum, colorable, singleton_ok = verify_index_spectrum(d, args.max_crossings)
+        record = verify_diagram(d, args.max_crossings)
+        spectrum = list(record.index_spectrum)
         entry = {"code": serialize(d), "skein": [], "recursion": [], "index_spectrum": spectrum}
         try:
             for cid in range(1, d.crossing_count + 1):
@@ -150,9 +152,9 @@ def _verify_cmd(args) -> int:
         except IdentityViolation as exc:
             entry["error"] = str(exc)
             failures += 1
-        entry["colorable"] = colorable
-        entry["index_singleton_ok"] = singleton_ok
-        if not singleton_ok:
+        entry["colorable"] = record.colorable
+        entry["index_singleton_ok"] = record.index_ok
+        if not record.index_ok:
             failures += 1
         out.append(entry)
     if args.json:

@@ -5,11 +5,23 @@ The harness machine-checks, over every enumerated diagram: the exponent
 congruence of the f-polynomial for checkerboard-colorable diagrams
 (exponents all 0 mod 4 for odd component counts, all 2 mod 4 for even),
 the equivalence between colorability and being crossing-changeable to an
-alternating diagram, and the evaluation f(1) = (-2)^(n-1).
-:func:`verify_index_spectrum` checks per diagram that a colorable diagram
-has a single state index.  The harness can also search the enumeration
-for alternating diagrams whose f-polynomial is not of alternating form,
-and fuzz move invariance.
+alternating diagram, and the evaluation f(1) = (-2)^(n-1).  Its record
+also carries the state-index spectrum, with the verdict that a colorable
+diagram has a single state index (``index_ok``, which ``vknots verify``
+prints).  The harness can also search the enumeration for alternating
+diagrams whose f-polynomial is not of alternating form, and fuzz move
+invariance.
+
+:func:`verify_diagram` turns one (#B, loops) state histogram into f, its
+congruence class, the f(1) verdict and the index spectrum.  The histogram
+depends only on the signed word of a diagram, not on which passage of a
+crossing is over (see :mod:`vknots.bracket`), so ``verify_diagram`` keeps
+a one-entry memo: the last diagram whose state sum it ran, with those
+four.  A diagram of the same word reuses them, f object included;
+:func:`enumerate_diagrams` yields a word's role variants one after
+another, so :func:`sweep` runs one state sum per word.  The public
+functions of ``bracket`` keep no memo, and the tests use them as the
+memo's oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .ald import Coloring, _checkerboard_coloring, is_alternating, make_alternating
-from .bracket import _f_polynomial, _index_spectrum, _state_sum_graph, f_polynomial
+from .bracket import _state_histogram, _state_sum_graph, _word_invariants, f_polynomial
 from .diagram import (
     Diagram,
     DiagramError,
@@ -201,7 +213,8 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
 class VerificationRecord:
     """Per-diagram verdicts for the three verified properties, with the
     checkerboard coloring that witnesses colorability (None when the
-    diagram is not colorable)."""
+    diagram is not colorable) and the sorted state-index spectrum.  The
+    index verdict is not part of ``ok`` or of the JSON form."""
 
     diagram: Diagram
     coloring: Optional[Coloring]
@@ -211,10 +224,17 @@ class VerificationRecord:
     congruence_ok: bool
     alternating_equiv_ok: bool
     unit_eval_ok: bool
+    index_spectrum: tuple[int, ...]
 
     @property
     def colorable(self) -> bool:
         return self.coloring is not None
+
+    @property
+    def index_ok(self) -> bool:
+        """The package's one statement of the index verdict: a
+        checkerboard colorable diagram has a single state index."""
+        return not self.colorable or len(self.index_spectrum) == 1
 
     @property
     def ok(self) -> bool:
@@ -248,10 +268,9 @@ def _same_word(d: Diagram, e: Diagram) -> bool:
     return True
 
 
-# The one-entry memo of verify_diagram: the last diagram whose state sum
-# it ran, that f, and the verdict parts that depend on f alone (its
-# congruence class, and whether f(1) = (-2)^(n-1), n being fixed by the word).
-_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool]] = None
+# The one-entry memo of verify_diagram: the last diagram whose state sum it
+# ran, with its f, congruence class, f(1) verdict and sorted index spectrum.
+_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...]]] = None
 
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
@@ -259,9 +278,8 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     state-sum size limit of :func:`f_polynomial`.  The state sum and the
     colorability check share one ribbon graph of ``d``.  A diagram
     without components raises EmptyDiagram.  A diagram with the signed
-    word of the previous call's diagram reuses that call's f object, its
-    congruence class and its f(1) verdict instead of running its own
-    state sum; any other runs one.
+    word of the previous call's diagram reuses that call's results (see
+    the module docstring) instead of running its own state sum.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
@@ -274,16 +292,16 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     g = _state_sum_graph(d, max_crossings)
     # the memo entry is read once and replaced by one assignment, so a
     # caller in another thread sees either the old or the new entry, and
-    # each entry is a diagram with its own f and verdict parts
+    # each entry is a diagram with its own results
     global _last
     last = _last
     if last is not None and _same_word(last[0], d):
-        _, f, congruence, unit_eval_ok = last
+        _, f, congruence, unit_eval_ok, spectrum = last
     else:
-        f = _f_polynomial(d, g)
+        f, spectrum = _word_invariants(d, _state_histogram(g))
         congruence = f.congruence_class_mod4()
         unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
-        _last = (d, f, congruence, unit_eval_ok)
+        _last = (d, f, congruence, unit_eval_ok, spectrum)
     coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)
@@ -299,23 +317,8 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
         congruence_ok=congruence_ok,
         alternating_equiv_ok=alternating_equiv_ok,
         unit_eval_ok=unit_eval_ok,
+        index_spectrum=spectrum,
     )
-
-
-def verify_index_spectrum(
-    d: Diagram, max_crossings: Optional[int] = None
-) -> tuple[list[int], bool, bool]:
-    """(sorted state-index spectrum, colorable, verdict): the package's one
-    statement of the index-spectrum verdict, that a checkerboard colorable
-    diagram has a single state index.  ``max_crossings`` is the state-sum
-    size limit of :func:`index_spectrum`.  A diagram without components
-    raises EmptyDiagram, as in :func:`verify_diagram`."""
-    if not d.component_count:
-        raise EmptyDiagram("a diagram without components is not a link")
-    g = _state_sum_graph(d, max_crossings)
-    spectrum = sorted(_index_spectrum(g))
-    colorable = _checkerboard_coloring(g) is not None
-    return spectrum, colorable, not colorable or len(spectrum) == 1
 
 
 @dataclass
@@ -460,5 +463,4 @@ __all__ = [
     "fuzz_invariance",
     "sweep",
     "verify_diagram",
-    "verify_index_spectrum",
 ]

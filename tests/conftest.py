@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from vknots import LaurentPoly, Passage, bracket, make_diagram, parse_gauss, writhe
+from vknots import LaurentPoly, Passage, bracket, index_spectrum, make_diagram, parse_gauss, writhe
 
 # Every run draws the same property examples, so a property failure
 # reproduces from a plain rerun.  Example counts and deadlines are those
@@ -38,10 +38,12 @@ def memo_free_f(d) -> LaurentPoly:
 
 
 def memo_free_verdict_parts(d) -> tuple:
-    """(f, its congruence class, whether f(1) = (-2)^(n-1)) from
-    memo_free_f: what verify_diagram's memo keeps for a signed word."""
+    """(f, its congruence class, whether f(1) = (-2)^(n-1), the sorted
+    index spectrum) from memo_free_f and the public index_spectrum, which
+    keep no memo: what verify_diagram's memo keeps for a signed word."""
     f = memo_free_f(d)
-    return f, f.congruence_class_mod4(), f.evaluate_at_one() == (-2) ** (d.component_count - 1)
+    unit_eval_ok = f.evaluate_at_one() == (-2) ** (d.component_count - 1)
+    return f, f.congruence_class_mod4(), unit_eval_ok, tuple(sorted(index_spectrum(d)))
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from vknots.cli import main
+from vknots.diagram import random_diagram, serialize
 from vknots.laurent import LaurentPoly
 
 from conftest import TREFOIL, TREFOIL_MIRROR, VIRTUAL_TREFOIL_MIRROR
@@ -103,6 +106,26 @@ def test_verify_json_crossing_free_has_recursion(capsys):
     assert blob["skein"] == [] and blob["recursion"] == []
 
 
+# sha256 of the runs hashed in test_verify_output_pinned, as printed
+# when the verdict still came from a function of its own
+VERIFY_OUTPUT_DIGEST = "444f791f9cb8820539311f5e0f34f0ec70029d43461dc73ae96ad285c4f19b3f"
+
+
+def test_verify_output_pinned(capsys, monkeypatch):
+    """``vknots verify`` stdout, stderr and exit code, byte for byte, over
+    seeded diagrams (0-7 crossings, 1-3 components) in text, JSON and
+    size-limited JSON form."""
+    monkeypatch.delenv("VKNOTS_MAX_CROSSINGS", raising=False)
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        code = serialize(random_diagram(rng, rng.randrange(0, 8), components=rng.randrange(1, 4)))
+        for flags in ([], ["--json"], ["--json", "--max-crossings", "3"]):
+            blob = run(capsys, "verify", "-c", code, *flags)
+            digest.update(json.dumps(blob).encode() + b"\n")
+    assert digest.hexdigest() == VERIFY_OUTPUT_DIGEST
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "sweep", "--max-crossings", "2", "--json")
     assert code == 0
@@ -145,6 +168,8 @@ def test_comment_only_diagram_exit_2(capsys):
     "env, argv",
     [
         ({"VKNOTS_MAX_CROSSINGS": "abc"}, ["fpoly", "-c", TREFOIL_MIRROR]),
+        ({}, ["fpoly", "-c", "()", "--max-crossings", "-1"]),
+        ({"VKNOTS_MAX_CROSSINGS": "-1"}, ["fpoly", "-c", "()"]),
         ({}, ["fpoly", "--workers", "2", "-c", TREFOIL_MIRROR]),
         ({}, ["bracket", "--workers", "2", "-c", TREFOIL_MIRROR]),
         ({}, ["check", "--workers", "2", "-c", TREFOIL_MIRROR]),
@@ -154,6 +179,8 @@ def test_comment_only_diagram_exit_2(capsys):
     ],
     ids=[
         "env-limit-not-int",
+        "fpoly-negative-limit",
+        "env-negative-limit",
         "fpoly-takes-no-workers",
         "bracket-takes-no-workers",
         "check-takes-no-workers",

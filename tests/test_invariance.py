@@ -152,7 +152,7 @@ def test_role_swaps_keep_open_histograms(d, data):
 def test_records_match_memo_free_f():
     # the acceptance ranges in enumeration order, where the memo serves
     # all role variants of a signed word from its first state sum, with
-    # the congruence class and f(1) verdict of that sum
+    # the congruence class, f(1) verdict and index spectrum of that sum
     ranges = [
         enumerate_diagrams(EnumSpec(4, max_components=1)),
         (d for d in enumerate_diagrams(EnumSpec(3, max_components=2)) if d.component_count == 2),
@@ -160,5 +160,6 @@ def test_records_match_memo_free_f():
     for stream in ranges:
         for d in stream:
             record = verify_diagram(d)
-            parts = (record.f, record.congruence, record.unit_eval_ok)
+            parts = (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum)
             assert parts == memo_free_verdict_parts(d), serialize(d)
+            assert record.index_ok == (not record.colorable or len(record.index_spectrum) == 1)

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from vknots.ald import build_ald, checkerboard_colorable, is_alternating, make_alternating
-from vknots.bracket import TooManyCrossings, f_polynomial
+from vknots.bracket import TooManyCrossings, f_polynomial, index_spectrum
 from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
 from vknots.verify import (
@@ -20,7 +20,6 @@ from vknots.verify import (
     fuzz_invariance,
     sweep,
     verify_diagram,
-    verify_index_spectrum,
 )
 
 from conftest import TREFOIL, VIRTUAL_TREFOIL_MIRROR, memo_free_f, memo_free_verdict_parts, swap_roles
@@ -227,14 +226,16 @@ def test_kernel_outputs_pinned():
 
 
 def test_f_memo_edges():
-    """verify_diagram memoizes f for the last diagram only, up to roles: a
-    role variant gets the previous f object, any other diagram a fresh f."""
+    """verify_diagram memoizes f and the index spectrum for the last
+    diagram only, up to roles: a role variant gets the previous objects,
+    any other diagram fresh ones."""
     d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
     record = verify_diagram(d)
     first = record.f
     variant = swap_roles(d, {1, 3})
     reused = verify_diagram(variant)
     assert reused.f is first
+    assert reused.index_spectrum is record.index_spectrum
     # the verdict parts that depend on f alone come with it
     assert (reused.congruence, reused.unit_eval_ok) == (record.congruence, record.unit_eval_ok)
     # f_polynomial keeps no memo: it sums the variant itself
@@ -244,12 +245,15 @@ def test_f_memo_edges():
         parse_gauss("O1-U2-O3+\nU1-U3+O2-"),  # one sign changed, roles kept
         parse_gauss("O1+U2-O3+\nU1+U3+O2-\n()"),  # a free loop added
         parse_gauss("U1+U3+O2-\nO1+U2-O3+"),  # the components reordered
+        parse_gauss(TREFOIL),  # another word, with another spectrum
     ]
     for other in others:
-        f_d = verify_diagram(d).f
-        f_other = verify_diagram(other).f
-        assert f_other is not f_d
-        assert f_other == memo_free_f(other)
+        rec_d = verify_diagram(d)
+        rec_other = verify_diagram(other)
+        assert rec_other.f is not rec_d.f
+        assert rec_other.f == memo_free_f(other)
+        assert rec_other.index_spectrum is not rec_d.index_spectrum
+        assert rec_other.index_spectrum == tuple(sorted(index_spectrum(other)))
     # the size limit is checked before the memo is read
     verify_diagram(d)
     with pytest.raises(TooManyCrossings):
@@ -259,9 +263,9 @@ def test_f_memo_edges():
 
 
 def test_f_memo_under_threads():
-    # the memo entry is one (diagram, f, congruence, f(1) verdict) tuple
-    # replaced whole, so threads racing on it, more of them than cores,
-    # each get their own diagram's f and verdict parts
+    # the memo entry is one (diagram, f, congruence, f(1) verdict, index
+    # spectrum) tuple replaced whole, so threads racing on it, more of them
+    # than cores, each get their own diagram's f, verdict parts and spectrum
     rng = random.Random(5)
     diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
     diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
@@ -273,7 +277,7 @@ def test_f_memo_under_threads():
         for _ in range(2000):
             i = r.randrange(len(diagrams))
             record = verify_diagram(diagrams[i])
-            if (record.f, record.congruence, record.unit_eval_ok) != expected[i]:
+            if (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum) != expected[i]:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
@@ -291,13 +295,14 @@ def test_f_memo_under_threads():
 
 
 def test_verify_index_spectrum(trefoil, virtual_trefoil_mirror):
-    spectrum, colorable, ok = verify_index_spectrum(trefoil)
-    assert (len(spectrum), colorable, ok) == (1, True, True)
+    record = verify_diagram(trefoil)
+    assert (len(record.index_spectrum), record.colorable, record.index_ok) == (1, True, True)
     # not colorable: the verdict holds whatever the spectrum
-    assert verify_index_spectrum(virtual_trefoil_mirror) == ([0, 2], False, True)
+    record = verify_diagram(virtual_trefoil_mirror)
+    assert (record.index_spectrum, record.colorable, record.index_ok) == ((0, 2), False, True)
     # a diagram without components is not a link: no verdict, passing or not
     with pytest.raises(EmptyDiagram):
-        verify_index_spectrum(make_diagram([]))
+        verify_diagram(make_diagram([]))
 
 
 def test_sweep_small_ranges():
