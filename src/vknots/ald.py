@@ -21,6 +21,14 @@ their orientation, derived from the slot rule: A at a positive crossing,
 B at a negative one.  A splice replaces the vertex 4-cycle of the
 rotation by the two transpositions of its pairing, which is how induced
 state regions are traced below.
+
+Regions are traced once, on flat lists: ``_trace`` labels every dart
+with its boundary walk and records where each walk starts, and
+``_materialise`` turns that into a ``RegionSet`` of (edge, side) cycles.
+The colorability check 2-colors the walks' constraint graph on those
+lists first and builds the ``RegionSet`` and ``Coloring`` only for a
+colorable diagram, so most diagrams, which are not colorable, never
+build one.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .diagram import Diagram, DiagramError
 
 BLACK = "black"
 WHITE = "white"
+_COLORS = {BLACK, WHITE}
 
 
 class NotAlternating(DiagramError):
@@ -43,7 +52,7 @@ class ColorConflict(DiagramError):
     caller or in region tracing, never a property of a valid input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RibbonGraph:
     """Ribbon graph with one 4-valent vertex per crossing.
 
@@ -67,7 +76,7 @@ class RibbonGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionSet:
     """Boundary regions of a ribbon graph.
 
@@ -86,7 +95,7 @@ class RegionSet:
         return len(self.regions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Coloring:
     """A checkerboard coloring: one color per region, adjacent regions
     always distinct."""
@@ -95,9 +104,8 @@ class Coloring:
     colors: tuple[str, ...]
 
     def is_valid(self) -> bool:
-        return all(
-            self.colors[a] != self.colors[b] for a, b in self.regions.constraints
-        ) and all(c in (BLACK, WHITE) for c in self.colors)
+        colors = self.colors
+        return all(colors[a] != colors[b] for a, b in self.regions.constraints) and set(colors) <= _COLORS
 
     def to_json(self) -> list[dict]:
         return [
@@ -175,6 +183,7 @@ def _partners(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 
 
 _ROTATION = (1, 2, 3, 0)
+_NEXT_SLOT = tuple(t - s for s, t in enumerate(_ROTATION))  # dart + this: the next slot
 _A_PAIRING = _partners(A_PAIRS)
 _B_PAIRING = _partners(B_PAIRS)
 
@@ -195,22 +204,11 @@ ORIENTED_SPLICE = {
 }
 
 
-def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None) -> RegionSet:
-    """Trace the boundary walks of the ribbon surface.
-
-    Walk rule: follow a band to its far end, then turn to the next slot of
-    the vertex rotation (or across the splice pairing for crossings listed
-    in ``splices``, mapping crossing id to "A" or "B").  Each dart lies on
-    exactly one walk; the two darts of an edge give its two sides.
-    """
-    n = 4 * g.vertex_count
-    alpha, edges = g.alpha, g.edges
-    # side[dart]: the (edge index, side) entry of dart in its region, side
-    # 0 for the tail of its band and 1 for the head
-    side: list[Optional[tuple[int, int]]] = [None] * n
-    for ei, (t, h) in enumerate(edges):
-        side[t] = (ei, 0)
-        side[h] = (ei, 1)
+def _trace(g: RibbonGraph, splices: Optional[Mapping[int, str]]) -> tuple[list[int], list[int], list[int]]:
+    """The boundary walks of the ribbon surface, as flat lists: the
+    successor of each dart on its walk, the walk of each dart, and the
+    first dart of each walk, walks numbered by their first dart."""
+    alpha = g.alpha
     # succ[dart]: the dart a walk leaves by after the band from ``dart``
     if splices:
         steps = [
@@ -222,18 +220,37 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
         succ = [turn[a] for a in alpha]
     else:
         # the rotation: the next slot of the far vertex
-        succ = [a + 1 if a & 3 != 3 else a - 3 for a in alpha]
-
+        succ = [a + _NEXT_SLOT[a & 3] for a in alpha]
+    n = len(alpha)
     region_of = [-1] * n
-    regions: list[tuple[tuple[int, int], ...]] = []
+    starts: list[int] = []
     for start in range(n):
         if region_of[start] != -1:
             continue
-        r = len(regions)
-        cycle = []
+        r = len(starts)
+        starts.append(start)
         dart = start
         while region_of[dart] == -1:
             region_of[dart] = r
+            dart = succ[dart]
+    return succ, region_of, starts
+
+
+def _materialise(g: RibbonGraph, succ: list[int], region_of: list[int], starts: list[int]) -> RegionSet:
+    """The RegionSet of walks traced by ``_trace``: their (edge, side)
+    cycles, one constraint per band, and the free loops."""
+    edges = g.edges
+    # side[dart]: the (edge index, side) entry of dart in its region, side
+    # 0 for the tail of its band and 1 for the head
+    side: list[Optional[tuple[int, int]]] = [None] * len(succ)
+    for ei, (t, h) in enumerate(edges):
+        side[t] = (ei, 0)
+        side[h] = (ei, 1)
+    regions = []
+    for start in starts:
+        cycle = [side[start]]
+        dart = succ[start]
+        while dart != start:
             cycle.append(side[dart])
             dart = succ[dart]
         regions.append(tuple(cycle))
@@ -252,32 +269,15 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
     )
 
 
-def _two_color(regions: RegionSet) -> Optional[list[str]]:
-    """2-color the constraint graph, first-discovered region in each piece
-    black.  None when some piece is not bipartite."""
-    count = len(regions.regions)
-    adj: list[list[int]] = [[] for _ in range(count)]
-    for a, b in regions.constraints:
-        if a == b:
-            return None
-        adj[a].append(b)
-        adj[b].append(a)
-    colors: list[Optional[str]] = [None] * count
-    for root in range(count):
-        if colors[root] is not None:
-            continue
-        colors[root] = BLACK
-        stack = [root]
-        while stack:
-            r = stack.pop()
-            want = WHITE if colors[r] == BLACK else BLACK
-            for s in adj[r]:
-                if colors[s] is None:
-                    colors[s] = want
-                    stack.append(s)
-                elif colors[s] != want:
-                    return None
-    return colors  # type: ignore[return-value]
+def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None) -> RegionSet:
+    """Trace the boundary walks of the ribbon surface.
+
+    Walk rule: follow a band to its far end, then turn to the next slot of
+    the vertex rotation (or across the splice pairing for crossings listed
+    in ``splices``, mapping crossing id to "A" or "B").  Each dart lies on
+    exactly one walk; the two darts of an edge give its two sides.
+    """
+    return _materialise(g, *_trace(g, splices))
 
 
 def checkerboard_colorable(d: Diagram) -> Optional[Coloring]:
@@ -288,12 +288,39 @@ def checkerboard_colorable(d: Diagram) -> Optional[Coloring]:
 
 def _checkerboard_coloring(g: RibbonGraph) -> Optional[Coloring]:
     # the body of checkerboard_colorable, for callers that already hold
-    # the ribbon graph
-    regions = boundary_regions(g)
-    colors = _two_color(regions)
-    if colors is None:
-        return None
-    coloring = Coloring(regions=regions, colors=tuple(colors))
+    # the ribbon graph.  The constraint graph of the traced walks, one
+    # edge per band, is 2-coloured on plain lists, the first region of
+    # each piece black (0); the RegionSet is built only when that succeeds.
+    succ, region_of, starts = _trace(g, None)
+    count = len(starts)
+    adj: list[list[int]] = [[] for _ in range(count)]
+    for t, h in g.edges:
+        a, b = region_of[t], region_of[h]
+        if a == b:
+            return None
+        adj[a].append(b)
+        adj[b].append(a)
+    color = [-1] * count
+    for root in range(count):
+        if color[root] != -1:
+            continue
+        color[root] = 0
+        stack = [root]
+        while stack:
+            r = stack.pop()
+            want = 1 - color[r]
+            for s in adj[r]:
+                if color[s] == -1:
+                    color[s] = want
+                    stack.append(s)
+                elif color[s] != want:
+                    return None
+    # each free loop is a piece of its own: two regions, the first black.
+    # The list, unlike a generator, gives tuple() its length: a tuple
+    # resized after the fact moves memory into the free lists of smaller
+    # tuples, and a sweep's peak RSS grew by about 0.3 MB that way.
+    colors = tuple([WHITE if c else BLACK for c in color]) + (BLACK, WHITE) * g.free_loops
+    coloring = Coloring(regions=_materialise(g, succ, region_of, starts), colors=colors)
     assert coloring.is_valid()
     return coloring
 

@@ -231,8 +231,11 @@ def _assemble(c: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
 
 
 def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
-    """The ribbon graph of d for a state sum; raises TooManyCrossings first
-    when d has more crossings than the limit."""
+    """The ribbon graph of d for a state sum; raises ValueError for a
+    negative limit, then TooManyCrossings when d has more crossings than
+    the limit."""
+    if max_crossings is not None and max_crossings < 0:
+        raise ValueError("max_crossings must be nonnegative")
     limit = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
     if d.crossing_count > limit:
         raise TooManyCrossings(

@@ -17,11 +17,19 @@ congruence class, the f(1) verdict and the index spectrum.  The histogram
 depends only on the signed word of a diagram, not on which passage of a
 crossing is over (see :mod:`vknots.bracket`), so ``verify_diagram`` keeps
 a one-entry memo: the last diagram whose state sum it ran, with those
-four.  A diagram of the same word reuses them, f object included;
-:func:`enumerate_diagrams` yields a word's role variants one after
-another, so :func:`sweep` runs one state sum per word.  The public
-functions of ``bracket`` keep no memo, and the tests use them as the
-memo's oracle.
+four and whether crossing changes make it alternating
+(``make_alternating(d) is not None``).  That verdict does not depend on
+the roles either: ``make_alternating`` reads only crossing ids and
+roles, and swapping the roles at the crossings of a set T is, from its
+point of view, a crossing change at T, so a set S of changes works for
+d exactly when S xor T works for the variant.  A diagram of the same
+word reuses all five, f object included; :func:`enumerate_diagrams`
+yields a word's role variants one after another, so :func:`sweep` runs
+one state sum and one ``make_alternating`` per word.  Colorability is
+still traced from each diagram's own ribbon graph, so
+``alternating_equiv_ok`` checks both sides of the equivalence on every
+diagram.  The public functions of ``bracket`` and ``ald`` keep no memo,
+and the tests use them as the memo's oracle.
 """
 
 from __future__ import annotations
@@ -209,7 +217,7 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
                     yield d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationRecord:
     """Per-diagram verdicts for the three verified properties, with the
     checkerboard coloring that witnesses colorability (None when the
@@ -269,17 +277,20 @@ def _same_word(d: Diagram, e: Diagram) -> bool:
 
 
 # The one-entry memo of verify_diagram: the last diagram whose state sum it
-# ran, with its f, congruence class, f(1) verdict and sorted index spectrum.
-_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...]]] = None
+# ran, with its f, congruence class, f(1) verdict, sorted index spectrum
+# and whether crossing changes make it alternating.
+_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...], bool]] = None
 
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
     """Evaluate all per-diagram properties; ``max_crossings`` is the
     state-sum size limit of :func:`f_polynomial`.  The state sum and the
     colorability check share one ribbon graph of ``d``.  A diagram
-    without components raises EmptyDiagram.  A diagram with the signed
-    word of the previous call's diagram reuses that call's results (see
-    the module docstring) instead of running its own state sum.
+    without components raises EmptyDiagram, and a negative
+    ``max_crossings`` ValueError.  A diagram with the signed word of the
+    previous call's diagram reuses that call's results (see the module
+    docstring) instead of running its own state sum and
+    ``make_alternating``.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
@@ -296,18 +307,19 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     global _last
     last = _last
     if last is not None and _same_word(last[0], d):
-        _, f, congruence, unit_eval_ok, spectrum = last
+        _, f, congruence, unit_eval_ok, spectrum, alternatable = last
     else:
         f, spectrum = _word_invariants(d, _state_histogram(g))
         congruence = f.congruence_class_mod4()
         unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
-        _last = (d, f, congruence, unit_eval_ok, spectrum)
+        alternatable = make_alternating(d) is not None
+        _last = (d, f, congruence, unit_eval_ok, spectrum, alternatable)
     coloring = _checkerboard_coloring(g)
     colorable = coloring is not None
     alternating = is_alternating(d)
     expected = 0 if n % 2 == 1 else 2
     congruence_ok = (not colorable) or (bool(f) and congruence == expected)
-    alternating_equiv_ok = (make_alternating(d) is not None) == colorable
+    alternating_equiv_ok = alternatable == colorable
     return VerificationRecord(
         diagram=d,
         coloring=coloring,

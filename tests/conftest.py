@@ -1,7 +1,10 @@
+from collections import deque
+
 import pytest
 from hypothesis import settings
 
 from vknots import LaurentPoly, Passage, bracket, index_spectrum, make_diagram, parse_gauss, writhe
+from vknots.ald import BLACK, WHITE, checkerboard_colorable, make_alternating
 
 # Every run draws the same property examples, so a property failure
 # reproduces from a plain rerun.  Example counts and deadlines are those
@@ -39,11 +42,64 @@ def memo_free_f(d) -> LaurentPoly:
 
 def memo_free_verdict_parts(d) -> tuple:
     """(f, its congruence class, whether f(1) = (-2)^(n-1), the sorted
-    index spectrum) from memo_free_f and the public index_spectrum, which
-    keep no memo: what verify_diagram's memo keeps for a signed word."""
+    index spectrum, the alternating-equivalence verdict) from memo_free_f,
+    the public index_spectrum, make_alternating and checkerboard_colorable,
+    which keep no memo: what verify_diagram's memo serves for a signed
+    word."""
     f = memo_free_f(d)
     unit_eval_ok = f.evaluate_at_one() == (-2) ** (d.component_count - 1)
-    return f, f.congruence_class_mod4(), unit_eval_ok, tuple(sorted(index_spectrum(d)))
+    equiv_ok = (make_alternating(d) is not None) == (checkerboard_colorable(d) is not None)
+    return f, f.congruence_class_mod4(), unit_eval_ok, tuple(sorted(index_spectrum(d))), equiv_ok
+
+
+def oracle_walks(g) -> list[tuple[tuple[int, int], ...]]:
+    """The boundary walks of the unspliced ribbon surface, read off the
+    walk rule directly: from a dart, cross its band, then turn to the next
+    slot of the far vertex.  Each walk starts at its lowest dart, walks are
+    numbered in order of that dart, and a dart is written (band, 0 for
+    the band's tail or 1 for its head)."""
+    seen: set[int] = set()
+    walks = []
+    for start in range(4 * g.vertex_count):
+        if start in seen:
+            continue
+        walk = []
+        dart = start
+        while dart not in seen:
+            seen.add(dart)
+            band = g.band_of_dart[dart]
+            walk.append((band, g.edges[band].index(dart)))
+            far = g.alpha[dart]
+            dart = far - far % 4 + (far + 1) % 4
+        walks.append(tuple(walk))
+    return walks
+
+
+def oracle_two_coloring(regions) -> list[str] | None:
+    """A plain breadth-first 2-colouring of a RegionSet's constraint
+    graph, the lowest region of each piece black; None when some piece is
+    not bipartite.  A checkerboard colouring, where one exists, is this
+    one."""
+    adj: list[list[int]] = [[] for _ in regions.regions]
+    for a, b in regions.constraints:
+        adj[a].append(b)
+        adj[b].append(a)
+    colors: list[str | None] = [None] * len(adj)
+    for root in range(len(adj)):
+        if colors[root] is not None:
+            continue
+        colors[root] = BLACK
+        queue = deque([root])
+        while queue:
+            r = queue.popleft()
+            other = WHITE if colors[r] == BLACK else BLACK
+            for s in adj[r]:
+                if colors[s] is None:
+                    colors[s] = other
+                    queue.append(s)
+                elif colors[s] != other:
+                    return None
+    return colors
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vknots.ald import (
     NotAlternating,
+    _checkerboard_coloring,
     boundary_regions,
     build_ald,
     checkerboard_colorable,
@@ -22,6 +25,8 @@ from vknots.diagram import (
     reverse_all,
 )
 from vknots.verify import EnumSpec, enumerate_diagrams
+
+from conftest import oracle_two_coloring, oracle_walks
 
 
 def test_build_ald_counts(trefoil_mirror, virtual_trefoil_mirror, unknot):
@@ -87,6 +92,42 @@ def test_classical_pd_inputs_always_colorable():
     ]
     for pd in pds:
         assert checkerboard_colorable(parse_pd(pd)) is not None
+
+
+def _check_coloring_against_oracle(d):
+    # the colouring decided on flat lists agrees with a breadth-first
+    # 2-colouring of the materialised constraints, and its regions are
+    # boundary_regions' regions, whose walks the oracle reads off directly
+    g = build_ald(d)
+    regions = boundary_regions(g)
+    walks = oracle_walks(g)
+    assert regions.regions[:len(walks)] == tuple(walks)
+    expected = oracle_two_coloring(regions)
+    coloring = _checkerboard_coloring(g)
+    assert (coloring is None) == (expected is None)
+    if coloring is not None:
+        assert coloring.regions == regions
+        assert list(coloring.colors) == expected
+
+
+def test_coloring_matches_oracle_on_streams():
+    for spec in (EnumSpec(4, max_components=1), EnumSpec(3, max_components=2)):
+        for d in enumerate_diagrams(spec):
+            _check_coloring_against_oracle(d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=1, max_value=3),
+)
+@example(0, 0, 3)  # free loops alone
+@example(5, 3, 3)  # crossings and a free loop, colourable
+@example(11, 3, 3)  # crossings and a free loop, not colourable
+def test_coloring_matches_oracle_random(seed, crossings, components):
+    d = random_diagram(random.Random(seed), crossings, components)
+    _check_coloring_against_oracle(d)
 
 
 def test_is_alternating(trefoil_mirror, virtual_trefoil_mirror, unknot):

@@ -31,6 +31,7 @@ from vknots.diagram import (
     splice_oriented,
 )
 from vknots.laurent import LOOP_FACTOR, LaurentPoly
+from vknots.verify import verify_diagram
 
 from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
 
@@ -258,6 +259,38 @@ def test_too_many_crossings():
         finite_type_recursion_check(d, 1, order=1, max_crossings=6)
     assert skein_identity_check(d, 1, max_crossings=7).holds
     assert finite_type_recursion_check(d, 1, order=1, max_crossings=7).difference_identity_holds
+
+
+def test_negative_limit_rejected():
+    # a negative size limit is a bad argument, not a diagram over the
+    # limit; limit 0 still takes the empty diagram
+    empty, kink = parse_gauss("()"), parse_gauss(KINK_PLUS)
+    whole = {
+        "bracket": bracket,
+        "bracket_parallel": bracket_parallel,
+        "f_polynomial": f_polynomial,
+        "index_spectrum": index_spectrum,
+        "verify_diagram": verify_diagram,
+    }
+    at_crossing = {
+        "skein_identity_check": skein_identity_check,
+        "finite_type_recursion_check": lambda d, c, max_crossings: finite_type_recursion_check(
+            d, c, order=1, max_crossings=max_crossings
+        ),
+    }
+    for name, fn in whole.items():
+        for d in (empty, kink):
+            with pytest.raises(ValueError, match="max_crossings"):
+                fn(d, max_crossings=-1)
+        assert fn(empty, max_crossings=0) == fn(empty), name
+        with pytest.raises(TooManyCrossings):
+            fn(kink, max_crossings=0)
+    for name, fn in at_crossing.items():
+        with pytest.raises(ValueError, match="max_crossings"):
+            fn(kink, 1, max_crossings=-1)
+        with pytest.raises(TooManyCrossings):
+            fn(kink, 1, max_crossings=0)
+        assert fn(kink, 1, max_crossings=1) == fn(kink, 1, max_crossings=None), name
 
 
 def test_recursion_rejects_negative_order_before_state_sum():

@@ -15,7 +15,7 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vknots.ald import build_ald
+from vknots.ald import build_ald, is_alternating, make_alternating
 from vknots.bracket import _open_histograms, bracket, f_polynomial
 from vknots.diagram import (
     MoveKind,
@@ -56,10 +56,14 @@ def _verdicts(d):
     return record.colorable, record.alternating_equiv_ok, record.ok
 
 
-def _mirror(d):
-    for cid in range(1, d.crossing_count + 1):
+def _changed(d, crossings):
+    for cid in crossings:
         d = crossing_change(d, cid)
     return d
+
+
+def _mirror(d):
+    return _changed(d, range(1, d.crossing_count + 1))
 
 
 def _invert(p: LaurentPoly) -> LaurentPoly:
@@ -149,10 +153,27 @@ def test_role_swaps_keep_open_histograms(d, data):
     assert bracket(variant) == bracket(d)
 
 
+@PROPERTY
+@given(diagrams, st.data())
+def test_role_swaps_keep_alternatability(d, data):
+    # make_alternating reads crossing ids and roles only, and a role swap
+    # at the crossings of T is a crossing change there from its point of
+    # view: S works for d exactly when S ^ T works for the variant.  So
+    # whether any S works, the verdict the memo keeps per signed word,
+    # depends on the word alone
+    swapped = data.draw(st.sets(st.integers(min_value=1, max_value=max(d.crossing_count, 1))))
+    variant = swap_roles(d, swapped)
+    assert (make_alternating(variant) is None) == (make_alternating(d) is None)
+    changes = make_alternating(d)
+    if changes is not None:
+        assert is_alternating(_changed(variant, changes ^ (swapped & set(range(1, d.crossing_count + 1)))))
+
+
 def test_records_match_memo_free_f():
     # the acceptance ranges in enumeration order, where the memo serves
     # all role variants of a signed word from its first state sum, with
     # the congruence class, f(1) verdict and index spectrum of that sum
+    # and the word's alternatability verdict
     ranges = [
         enumerate_diagrams(EnumSpec(4, max_components=1)),
         (d for d in enumerate_diagrams(EnumSpec(3, max_components=2)) if d.component_count == 2),
@@ -160,6 +181,6 @@ def test_records_match_memo_free_f():
     for stream in ranges:
         for d in stream:
             record = verify_diagram(d)
-            parts = (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum)
+            parts = (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum, record.alternating_equiv_ok)
             assert parts == memo_free_verdict_parts(d), serialize(d)
             assert record.index_ok == (not record.colorable or len(record.index_spectrum) == 1)

@@ -11,6 +11,7 @@ from vknots.ald import build_ald, checkerboard_colorable, is_alternating, make_a
 from vknots.bracket import TooManyCrossings, f_polynomial, index_spectrum
 from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
+from vknots import verify as verify_module
 from vknots.verify import (
     EmptyDiagram,
     EnumSpec,
@@ -225,19 +226,32 @@ def test_kernel_outputs_pinned():
     assert digest.hexdigest() == KERNEL_DIGEST
 
 
-def test_f_memo_edges():
-    """verify_diagram memoizes f and the index spectrum for the last
-    diagram only, up to roles: a role variant gets the previous objects,
-    any other diagram fresh ones."""
+def test_f_memo_edges(monkeypatch):
+    """verify_diagram memoizes f, the index spectrum and the
+    alternatability verdict for the last diagram only, up to roles: a role
+    variant gets the previous objects, any other diagram fresh ones."""
+    alternatability_runs = []
+
+    def counted_make_alternating(diagram):
+        alternatability_runs.append(diagram)
+        return make_alternating(diagram)
+
+    monkeypatch.setattr(verify_module, "make_alternating", counted_make_alternating)
     d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
     record = verify_diagram(d)
     first = record.f
+    assert alternatability_runs == [d]
     variant = swap_roles(d, {1, 3})
     reused = verify_diagram(variant)
     assert reused.f is first
     assert reused.index_spectrum is record.index_spectrum
     # the verdict parts that depend on f alone come with it
     assert (reused.congruence, reused.unit_eval_ok) == (record.congruence, record.unit_eval_ok)
+    # so does the alternatability verdict, which roles do not change; the
+    # colouring is still traced from the variant's own ribbon graph
+    assert alternatability_runs == [d]
+    assert reused.alternating_equiv_ok == ((make_alternating(variant) is not None) == reused.colorable)
+    assert reused.colorable == (checkerboard_colorable(variant) is not None)
     # f_polynomial keeps no memo: it sums the variant itself
     f_variant = f_polynomial(variant)
     assert f_variant is not first and f_variant == first
@@ -249,7 +263,9 @@ def test_f_memo_edges():
     ]
     for other in others:
         rec_d = verify_diagram(d)
+        alternatability_runs.clear()
         rec_other = verify_diagram(other)
+        assert alternatability_runs == [other]
         assert rec_other.f is not rec_d.f
         assert rec_other.f == memo_free_f(other)
         assert rec_other.index_spectrum is not rec_d.index_spectrum
@@ -264,8 +280,9 @@ def test_f_memo_edges():
 
 def test_f_memo_under_threads():
     # the memo entry is one (diagram, f, congruence, f(1) verdict, index
-    # spectrum) tuple replaced whole, so threads racing on it, more of them
-    # than cores, each get their own diagram's f, verdict parts and spectrum
+    # spectrum, alternatability) tuple replaced whole, so threads racing on
+    # it, more of them than cores, each get their own diagram's f, verdict
+    # parts and spectrum
     rng = random.Random(5)
     diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
     diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
@@ -277,7 +294,8 @@ def test_f_memo_under_threads():
         for _ in range(2000):
             i = r.randrange(len(diagrams))
             record = verify_diagram(diagrams[i])
-            if (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum) != expected[i]:
+            parts = (record.f, record.congruence, record.unit_eval_ok, record.index_spectrum, record.alternating_equiv_ok)
+            if parts != expected[i]:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
