@@ -18,17 +18,18 @@ the B-splice joins (0,1) and (2,3), for either sign.  ``A_PAIRS`` and
 the bracket state sum reads its splices from them too.  ``ORIENTED_SPLICE``
 names the one of the two that reconnects the strands coherently with
 their orientation, derived from the slot rule: A at a positive crossing,
-B at a negative one.  A splice replaces the vertex 4-cycle of the
-rotation by the two transpositions of its pairing, which is how induced
-state regions are traced below.
+B at a negative one.
 
-Regions are traced once, on flat lists: ``_trace`` labels every dart
-with its boundary walk and records where each walk starts, and
-``_materialise`` turns that into a ``RegionSet`` of (edge, side) cycles.
-The colorability check 2-colors the walks' constraint graph on those
-lists first and builds the ``RegionSet`` and ``Coloring`` only for a
-colorable diagram, so most diagrams, which are not colorable, never
-build one.
+Regions follow one walk rule, in ``_trace``: along a band to its far
+end, then out by the next slot of the rotation there or, at a spliced
+vertex, by the slot the splice pairs with the one arrived at.  ``_trace``
+labels every dart with its walk on flat lists and records where each
+walk starts, which is all that counting walks needs; ``_materialise``
+turns that into a ``RegionSet`` of (edge, side) cycles.  The
+colorability check 2-colors the walks' constraint graph on those lists
+first and builds the ``RegionSet`` and ``Coloring`` only for a colorable
+diagram, so most diagrams, which are not colorable, never build one.
+Every splice assignment passes the one check ``_check_splices``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ _COLORS = {BLACK, WHITE}
 
 class NotAlternating(DiagramError):
     pass
+
+
+class IncompleteChoices(DiagramError):
+    """A splice assignment names a crossing the diagram lacks, leaves out
+    one that a full state needs, or splices other than "A" or "B"."""
 
 
 class ColorConflict(DiagramError):
@@ -182,8 +188,7 @@ def _partners(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return tuple(partner)
 
 
-_ROTATION = (1, 2, 3, 0)
-_NEXT_SLOT = tuple(t - s for s, t in enumerate(_ROTATION))  # dart + this: the next slot
+_NEXT_SLOT = (1, 1, 1, -3)  # dart + this: the next slot of the rotation s -> s+1
 _A_PAIRING = _partners(A_PAIRS)
 _B_PAIRING = _partners(B_PAIRS)
 
@@ -204,23 +209,31 @@ ORIENTED_SPLICE = {
 }
 
 
+def _check_splices(c: int, splices: Mapping[int, str], full: bool) -> None:
+    """Raise IncompleteChoices unless ``splices`` maps crossings among
+    1..c (all of them when ``full``) to "A" or "B"."""
+    if (full and len(splices) != c) or not all(isinstance(x, int) and 0 < x <= c for x in splices):
+        raise IncompleteChoices(f"choices must {'cover' if full else 'lie among'} crossings 1..{c}")
+    for v in splices.values():
+        if v not in ("A", "B"):
+            raise IncompleteChoices(f"bad splice choice {v!r}")
+
+
 def _trace(g: RibbonGraph, splices: Optional[Mapping[int, str]]) -> tuple[list[int], list[int], list[int]]:
     """The boundary walks of the ribbon surface, as flat lists: the
     successor of each dart on its walk, the walk of each dart, and the
-    first dart of each walk, walks numbered by their first dart."""
+    first dart of each walk, walks numbered by their first dart.
+    ``splices`` has passed ``_check_splices``."""
     alpha = g.alpha
-    # succ[dart]: the dart a walk leaves by after the band from ``dart``
-    if splices:
-        steps = [
-            _ROTATION if v + 1 not in splices
-            else _A_PAIRING if splices[v + 1] == "A" else _B_PAIRING
-            for v in range(g.vertex_count)
-        ]
-        turn = [4 * v + t for v, step in enumerate(steps) for t in step]
-        succ = [turn[a] for a in alpha]
-    else:
-        # the rotation: the next slot of the far vertex
-        succ = [a + _NEXT_SLOT[a & 3] for a in alpha]
+    # succ[dart]: the dart a walk leaves by after the band from ``dart``,
+    # the next slot of the far vertex; at spliced crossing x the walk
+    # arriving at slot s, from dart alpha[4(x-1) + s], leaves by pairing[s]
+    succ = [a + _NEXT_SLOT[a & 3] for a in alpha]
+    for x, choice in (splices or {}).items():
+        base = 4 * (x - 1)
+        pairing = _A_PAIRING if choice == "A" else _B_PAIRING
+        for s in range(4):
+            succ[alpha[base + s]] = base + pairing[s]
     n = len(alpha)
     region_of = [-1] * n
     starts: list[int] = []
@@ -275,8 +288,12 @@ def boundary_regions(g: RibbonGraph, splices: Optional[Mapping[int, str]] = None
     Walk rule: follow a band to its far end, then turn to the next slot of
     the vertex rotation (or across the splice pairing for crossings listed
     in ``splices``, mapping crossing id to "A" or "B").  Each dart lies on
-    exactly one walk; the two darts of an edge give its two sides.
+    exactly one walk; the two darts of an edge give its two sides.  A
+    splice key outside 1..c or a value other than "A" or "B" raises
+    IncompleteChoices.
     """
+    if splices:
+        _check_splices(g.vertex_count, splices, full=False)
     return _materialise(g, *_trace(g, splices))
 
 
@@ -336,6 +353,19 @@ def is_alternating(d: Diagram) -> bool:
     return True
 
 
+def _parity_root(parent: list[int], parity: list[int], x: int) -> tuple[int, int]:
+    """The root of crossing x in the union-find of ``make_alternating``,
+    and 1 when exactly one of x and its root is changed; the find halves
+    the path from x."""
+    flip = 0
+    while parent[x] != x:
+        up = parent[x]
+        parity[x] ^= parity[up]
+        flip ^= parity[x]
+        parent[x] = x = parent[up]
+    return x, flip
+
+
 def make_alternating(d: Diagram) -> Optional[frozenset[int]]:
     """A set of crossings whose change makes the diagram alternating, or
     None when no crossing changes can.  An already-alternating diagram
@@ -343,8 +373,7 @@ def make_alternating(d: Diagram) -> Optional[frozenset[int]]:
     c = d.crossing_count
     # a union-find over the crossings: parity[x] is 1 when exactly one of
     # x and parent[x] is changed, and roots are not changed.  A union
-    # hangs the root of its second crossing under that of its first, and
-    # each find halves its path.
+    # hangs the root of its second crossing under that of its first.
     parent = list(range(c + 1))
     parity = [0] * (c + 1)
     for comp in d.components:
@@ -357,33 +386,16 @@ def make_alternating(d: Diagram) -> Optional[frozenset[int]]:
                 if rel:
                     return None
                 continue
-            while parent[x] != x:
-                up = parent[x]
-                parity[x] ^= parity[up]
-                rel ^= parity[x]
-                parent[x] = x = parent[up]
-            while parent[y] != y:
-                up = parent[y]
-                parity[y] ^= parity[up]
-                rel ^= parity[y]
-                parent[y] = y = parent[up]
+            x, flip_x = _parity_root(parent, parity, x)
+            y, flip_y = _parity_root(parent, parity, y)
+            rel ^= flip_x ^ flip_y
             if x == y:
                 if rel:
                     return None
             else:
                 parent[y] = x
                 parity[y] = rel
-    changes = []
-    for cid in range(1, c + 1):
-        x, flip = cid, 0
-        while parent[x] != x:
-            up = parent[x]
-            parity[x] ^= parity[up]
-            flip ^= parity[x]
-            parent[x] = x = parent[up]
-        if flip:
-            changes.append(cid)
-    return frozenset(changes)
+    return frozenset(cid for cid in range(1, c + 1) if _parity_root(parent, parity, cid)[1])
 
 
 def _corner_region(g: RibbonGraph, regions: RegionSet, vertex: int, slot: int) -> int:
@@ -401,7 +413,9 @@ def coloring_from_alternating(d: Diagram) -> Coloring:
         raise NotAlternating("diagram has a non-alternating component")
     g = build_ald(d)
     regions = boundary_regions(g)
-    colors: list[Optional[str]] = [None] * regions.region_count
+    # every traced region sweeps some corner; the free-loop annuli that
+    # follow them are colored as by _checkerboard_coloring
+    colors: list[Optional[str]] = [None] * (regions.region_count - 2 * g.free_loops)
     for v in range(g.vertex_count):
         for slot in range(4):
             color = BLACK if slot in (0, 2) else WHITE
@@ -412,14 +426,7 @@ def coloring_from_alternating(d: Diagram) -> Coloring:
                 raise ColorConflict(
                     f"corner rule clashes at vertex {v + 1}, slot {slot}"
                 )
-    # pieces without crossings: free-loop annuli, colored deterministically
-    for a, b in regions.constraints:
-        if colors[a] is None and colors[b] is None:
-            colors[a], colors[b] = BLACK, WHITE
-    for i, col in enumerate(colors):
-        if col is None:
-            colors[i] = BLACK
-    coloring = Coloring(regions=regions, colors=tuple(colors))
+    coloring = Coloring(regions=regions, colors=tuple(colors) + (BLACK, WHITE) * g.free_loops)
     if not coloring.is_valid():
         raise ColorConflict("corner rule did not extend to a proper coloring")
     return coloring
@@ -432,11 +439,11 @@ def induced_state_coloring(d: Diagram, coloring: Coloring, choices: Mapping[int,
     replaced by the splice pairings; every new region inherits the common
     color of the old regions it swallows.  For a valid input coloring the
     inherited colors always agree; disagreement raises ColorConflict and
-    indicates a bug, not bad data.
+    indicates a bug, not bad data.  Choices that are not a full splice
+    assignment raise IncompleteChoices.
     """
+    _check_splices(d.crossing_count, choices, full=True)
     g = build_ald(d)
-    if set(choices) != set(range(1, g.vertex_count + 1)):
-        raise ColorConflict("choices must cover exactly the crossings of the diagram")
     old = coloring.regions
     new = boundary_regions(g, splices=choices)
     colors: list[Optional[str]] = [None] * new.region_count
@@ -466,9 +473,8 @@ def euler_summary(d: Diagram) -> dict[str, int]:
     """Diagnostic counts of the thickened surface: vertices, edges,
     boundary regions and the genus of the closed-up surface."""
     g = build_ald(d)
-    regions = boundary_regions(g)
     v, e = g.vertex_count, g.edge_count
-    b = regions.region_count - 2 * g.free_loops
+    b = len(_trace(g, None)[2])
     # per connected piece with vertices: chi(closed) = V - E + B = 2 - 2g
     return {
         "vertices": v,

@@ -48,7 +48,16 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional
 
-from .ald import A_PAIRS, B_PAIRS, ORIENTED_SPLICE, RibbonGraph, boundary_regions, build_ald
+from .ald import (
+    A_PAIRS,
+    B_PAIRS,
+    ORIENTED_SPLICE,
+    IncompleteChoices,
+    RibbonGraph,
+    _check_splices,
+    _trace,
+    build_ald,
+)
 from .diagram import (
     Diagram,
     DiagramError,
@@ -64,10 +73,6 @@ DEFAULT_MAX_CROSSINGS = 24
 
 
 class TooManyCrossings(DiagramError):
-    pass
-
-
-class IncompleteChoices(DiagramError):
     pass
 
 
@@ -110,15 +115,13 @@ def _find(parent: list[int], a: int) -> int:
 
 def splice_state(d: Diagram, choices: Mapping[int, str]) -> State:
     """Evaluate one splice assignment: loop count and A-minus-B exponent.
-    Each loop, free loops included, bounds two of the boundary walks that
-    ``ald.boundary_regions`` traces with ``choices`` as its splices."""
+    Each loop bounds two of the boundary walks that ``ald._trace`` traces
+    with ``choices`` as its splices, and each free loop is one more loop.
+    Choices that are not a full splice assignment raise IncompleteChoices."""
     c = d.crossing_count
-    if set(choices) != set(range(1, c + 1)):
-        raise IncompleteChoices(f"choices must cover crossings 1..{c}")
-    for v in choices.values():
-        if v not in ("A", "B"):
-            raise IncompleteChoices(f"bad splice choice {v!r}")
-    loops = boundary_regions(build_ald(d), splices=choices).region_count // 2
+    _check_splices(c, choices, full=True)
+    g = build_ald(d)
+    loops = len(_trace(g, choices)[2]) // 2 + g.free_loops
     ordered = tuple(choices[i + 1] for i in range(c))
     return State(choices=ordered, loop_count=loops, splice_exponent=c - 2 * ordered.count("B"))
 

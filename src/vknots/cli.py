@@ -47,14 +47,19 @@ def _looks_like_pd(text: str) -> bool:
 
 def _read_diagrams(args) -> list[Diagram]:
     """One or more diagrams from -c or a file; blank lines separate
-    diagrams in files (crossing-free components use the () marker)."""
+    diagrams in files (crossing-free components use the () marker).
+    Input that is not UTF-8 text, or holds only blank lines, raises
+    DiagramError."""
     if args.code is not None:
         text = args.code
     elif args.input is None:
         raise DiagramError("no input: pass a file or -c CODE")
     else:
-        with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DiagramError(f"{args.input} is not UTF-8 text: {exc}") from exc
     if _looks_like_pd(text):
         return [parse_pd(text)]
     blocks: list[list[str]] = [[]]
@@ -63,7 +68,10 @@ def _read_diagrams(args) -> list[Diagram]:
             blocks[-1].append(line)
         elif blocks[-1]:
             blocks.append([])
-    return [parse_gauss("\n".join(block)) for block in blocks if block]
+    diagrams = [parse_gauss("\n".join(block)) for block in blocks if block]
+    if not diagrams:
+        raise DiagramError("no diagram in input")
+    return diagrams
 
 
 def _add_input(p: argparse.ArgumentParser) -> None:

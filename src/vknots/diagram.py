@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,6 @@ R1_REMOVE = "R1-remove"
 R2_ADD = "R2-add"
 R2_REMOVE = "R2-remove"
 R3 = "R3"
-MOVE_KINDS = (R1_ADD, R1_REMOVE, R2_ADD, R2_REMOVE, R3)
 
 # Admissible R3 configurations, derived from the local triangle picture.
 # Strand 1 passes over both r and q, strand 2 is over at p and under at r,
@@ -595,18 +594,6 @@ def _apply_r1_add(d: Diagram, site: tuple) -> Diagram:
     return make_diagram(comps)
 
 
-def _apply_r1_remove(d: Diagram, site: tuple) -> Diagram:
-    if site not in _r1_remove_sites(d):
-        raise InapplicableMove(f"no removable kink at {site}")
-    ci, j = site
-    comp = list(d.components[ci])
-    m = len(comp)
-    drop = {j, (j + 1) % m}
-    comps = [list(c) for c in d.components]
-    comps[ci] = [p for k, p in enumerate(comp) if k not in drop]
-    return make_diagram(comps)
-
-
 def _apply_r2_add(d: Diagram, site: tuple) -> Diagram:
     (co, gap_o), (cu, gap_u), parallel, sign = site
     for ci in (co, cu):
@@ -629,24 +616,18 @@ def _apply_r2_add(d: Diagram, site: tuple) -> Diagram:
     return make_diagram(comps)
 
 
-def _apply_r2_remove(d: Diagram, site: tuple) -> Diagram:
-    if site not in _r2_remove_sites(d):
-        raise InapplicableMove(f"no removable bigon at {site}")
-    (co, jo), (cu, ju) = site
+def _drop_pairs(d: Diagram, pairs: Iterable[tuple[int, int]]) -> Diagram:
+    """d without the passages at positions pos and pos+1 of each (comp, pos)."""
     drop: dict[int, set[int]] = {}
-    mo, mu = len(d.components[co]), len(d.components[cu])
-    drop.setdefault(co, set()).update({jo, (jo + 1) % mo})
-    drop.setdefault(cu, set()).update({ju, (ju + 1) % mu})
-    comps = [
-        [p for k, p in enumerate(comp) if k not in drop.get(ci, set())]
+    for ci, j in pairs:
+        drop.setdefault(ci, set()).update({j, (j + 1) % len(d.components[ci])})
+    return make_diagram(
+        [p for k, p in enumerate(comp) if k not in drop.get(ci, ())]
         for ci, comp in enumerate(d.components)
-    ]
-    return make_diagram(comps)
+    )
 
 
 def _apply_r3(d: Diagram, site: tuple) -> Diagram:
-    if site not in _r3_sites(d):
-        raise InapplicableMove(f"no R3 triangle at {site}")
     comps = [list(c) for c in d.components]
     for ci, j in site:
         m = len(comps[ci])
@@ -655,8 +636,22 @@ def _apply_r3(d: Diagram, site: tuple) -> Diagram:
     return make_diagram(comps)
 
 
+# The moves: kind -> (finder of its admissible sites, or None where every
+# site on a component is admissible; rewrite of a diagram at a site).  The
+# order is that in which random_move lists the applicable kinds.
+_MOVES = {
+    R1_ADD: (None, _apply_r1_add),
+    R2_ADD: (None, _apply_r2_add),
+    R1_REMOVE: (_r1_remove_sites, lambda d, site: _drop_pairs(d, (site,))),
+    R2_REMOVE: (_r2_remove_sites, _drop_pairs),
+    R3: (_r3_sites, _apply_r3),
+}
+MOVE_KINDS = tuple(_MOVES)
+
+
 def _random_site(d: Diagram, kind: str, rng: random.Random) -> tuple:
-    if kind in (R1_ADD, R2_ADD):
+    finder = _MOVES[kind][0]
+    if finder is None:
         if not d.components:
             raise InapplicableMove(f"no admissible site for {kind}")
         if kind == R1_ADD:
@@ -671,7 +666,7 @@ def _random_site(d: Diagram, kind: str, rng: random.Random) -> tuple:
             rng.random() < 0.5,
             rng.choice((1, -1)),
         )
-    sites = {R1_REMOVE: _r1_remove_sites, R2_REMOVE: _r2_remove_sites, R3: _r3_sites}[kind](d)
+    sites = finder(d)
     if not sites:
         raise InapplicableMove(f"no admissible site for {kind}")
     return sites[rng.randrange(len(sites))]
@@ -681,34 +676,25 @@ def apply_move(d: Diagram, move: MoveKind, rng_seed: Optional[int] = None) -> Di
     """Apply a generalized Reidemeister move on the Gauss code.
 
     Purely virtual moves do not change the code at all, so only the
-    classical R1/R2/R3 rewrites appear here.  Raises InapplicableMove when
-    the requested site (or kind, if no site exists) does not admit the move.
+    classical R1/R2/R3 rewrites appear here.  A given site of a removal
+    or an R3 move is checked against that kind's admissible sites; with
+    no site, one is drawn at random (seeded by ``rng_seed``) from them.
+    Raises InapplicableMove for an unknown kind, and when the requested
+    site (or kind, if no site exists) does not admit the move.
     """
-    if move.kind not in MOVE_KINDS:
+    if move.kind not in _MOVES:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")
+    finder, rewrite = _MOVES[move.kind]
     site = move.site
     if site is None:
         site = _random_site(d, move.kind, random.Random(rng_seed))
-    return {
-        R1_ADD: _apply_r1_add,
-        R1_REMOVE: _apply_r1_remove,
-        R2_ADD: _apply_r2_add,
-        R2_REMOVE: _apply_r2_remove,
-        R3: _apply_r3,
-    }[move.kind](d, site)
+    elif finder is not None and site not in finder(d):
+        raise InapplicableMove(f"no {move.kind} site at {site}")
+    return rewrite(d, site)
 
 
 def applicable_kinds(d: Diagram) -> list[str]:
-    kinds = []
-    if d.components:
-        kinds.extend([R1_ADD, R2_ADD])
-    if _r1_remove_sites(d):
-        kinds.append(R1_REMOVE)
-    if _r2_remove_sites(d):
-        kinds.append(R2_REMOVE)
-    if _r3_sites(d):
-        kinds.append(R3)
-    return kinds
+    return [kind for kind, (finder, _) in _MOVES.items() if (finder(d) if finder else d.components)]
 
 
 def random_move(d: Diagram, rng: random.Random) -> tuple[MoveKind, Diagram]:
@@ -720,8 +706,7 @@ def random_move(d: Diagram, rng: random.Random) -> tuple[MoveKind, Diagram]:
         raise InapplicableMove("no moves apply to the empty diagram")
     kind = kinds[rng.randrange(len(kinds))]
     site = _random_site(d, kind, rng)
-    move = MoveKind(kind, site)
-    return move, apply_move(d, move)
+    return MoveKind(kind, site), _MOVES[kind][1](d, site)
 
 
 # ---------------------------------------------------------------------------
@@ -743,26 +728,13 @@ def _encode(comps: Sequence[Sequence[Passage]]) -> tuple:
     return tuple(out)
 
 
-def _encodings(d: Diagram) -> Iterator[tuple]:
-    # the encoding of every component rotation and component order of d
-    rotations = [[comp[r:] + comp[:r] for r in range(max(1, len(comp)))] for comp in d.components]
-    return (_encode(choice) for order in permutations(rotations) for choice in product(*order))
-
-
 def canonical_form(d: Diagram) -> tuple:
     """Lexicographically least encoding over component rotations, component
     order and crossing relabeling.  Two diagrams that differ only by those
     choices have equal canonical forms.
     """
-    return min(_encodings(d))
-
-
-def _is_canonical(d: Diagram) -> bool:
-    """Whether d's own components encode to its canonical form, that is
-    whether d is its orbit's representative; it stops at the first
-    smaller encoding."""
-    own = _encode(d.components)
-    return all(own <= e for e in _encodings(d))
+    rotations = [[comp[r:] + comp[:r] for r in range(max(1, len(comp)))] for comp in d.components]
+    return min(_encode(choice) for order in permutations(rotations) for choice in product(*order))
 
 
 def random_diagram(rng: random.Random, crossings: int, components: int = 1) -> Diagram:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vknots
 from vknots.ald import (
+    IncompleteChoices,
     NotAlternating,
     _checkerboard_coloring,
     boundary_regions,
@@ -205,6 +207,24 @@ def test_induced_state_coloring_exhaustive():
         for bits in itertools.product("AB", repeat=c):
             induced = induced_state_coloring(d, col, {i + 1: b for i, b in enumerate(bits)})
             assert induced.is_valid()
+
+
+@pytest.mark.parametrize(
+    "splices", [{0: "A"}, {4: "B"}, {1: "Q"}], ids=["key-0", "key-c+1", "value-Q"]
+)
+def test_boundary_regions_rejects_bad_splices(trefoil_mirror, splices):
+    with pytest.raises(IncompleteChoices):
+        boundary_regions(build_ald(trefoil_mirror), splices=splices)
+
+
+def test_induced_state_coloring_rejects_bad_choice(trefoil_mirror):
+    col = checkerboard_colorable(trefoil_mirror)
+    with pytest.raises(IncompleteChoices):
+        induced_state_coloring(trefoil_mirror, col, {1: "A", 2: "B", 3: "Q"})
+    # one class, importable from ald, bracket and the package
+    from vknots.bracket import IncompleteChoices as from_bracket
+
+    assert vknots.IncompleteChoices is from_bracket is IncompleteChoices
 
 
 def test_reversal_preserves_regions_and_colorability():

@@ -3,9 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vknots.cli import main
-from vknots.diagram import random_diagram, serialize
+from vknots.diagram import parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
 
 from conftest import TREFOIL, TREFOIL_MIRROR, VIRTUAL_TREFOIL_MIRROR
@@ -143,6 +145,17 @@ def test_witness_command(capsys):
     assert "no witness" in out
 
 
+def test_witness_is_non_split(capsys):
+    # the split unlink () / () has f = -A^2 - A^-2, not of alternating
+    # form, but the classical statement is for non-split links only
+    code, out, _ = run(capsys, "witness", "--components", "2")
+    assert code == 0
+    d = parse_gauss("\n".join(out.splitlines()[:2]))
+    assert serialize(d) == "O1-U2+\nO2+U1-"
+    first, second = ({p.crossing for p in comp} for comp in d.components)
+    assert first & second
+
+
 def test_fuzz_command(capsys):
     code, out, _ = run(capsys, "fuzz", "--trials", "20", "--seed", "3", "--json")
     assert code == 0
@@ -206,6 +219,38 @@ def test_missing_file_exit_2(capsys, tmp_path):
 def test_no_input_exit_2(capsys):
     code, _, err = run(capsys, "fpoly")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["fpoly", "bracket", "check", "verify"])
+def test_no_diagram_exit_2(capsys, tmp_path, command):
+    empty = tmp_path / "empty.gauss"
+    empty.write_text("")
+    for argv in (["-c", ""], ["-c", " \n\t "], [str(empty)]):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "error: no diagram" in err
+
+
+@pytest.mark.parametrize("command", ["fpoly", "bracket", "check", "verify"])
+def test_non_utf8_file_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "bom.gauss"
+    path.write_bytes(b"\xff\xfeO1+")
+    code, _, err = run(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.binary(max_size=80) | st.text("OUXV0123456789+-[],()# \n").map(str.encode))
+def test_arbitrary_file_bytes_end_in_an_exit_code(capsys, tmp_path, raw):
+    # any file ends in 0, 1 or 2, never in a traceback; 2 always says why
+    path = tmp_path / "input"
+    path.write_bytes(raw)
+    for command in ("fpoly", "bracket", "check", "verify"):
+        code, _, err = run(capsys, command, "--max-crossings", "8", str(path))
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert "error:" in err, command
 
 
 def test_usage_error_exit_2():
