@@ -63,8 +63,6 @@ from .diagram import (
     DiagramError,
     SpliceContext,
     splice_context,
-    splice_disoriented,
-    splice_oriented,
     writhe,
 )
 from .laurent import LOOP_FACTOR, LaurentPoly
@@ -134,10 +132,17 @@ def state_contribution(s: State) -> LaurentPoly:
     return (LOOP_FACTOR ** (s.loop_count - 1)).shift(s.splice_exponent)
 
 
+def _index(exponent: int, loops: int) -> int:
+    # the residue mod 4 of every exponent of A^exponent (-A^2 - A^-2)^(loops - 1);
+    # the empty diagram's one state (no loops) counts as the unknot's
+    return (exponent + 2 * max(loops, 1) - 2) % 4
+
+
 def state_index(s: State) -> int:
     """The residue mod 4 shared by every exponent of the state's bracket
-    contribution: (exponent + 2 loops - 2) mod 4."""
-    return (s.splice_exponent + 2 * s.loop_count - 2) % 4
+    contribution: (exponent + 2 loops - 2) mod 4, with the one state of
+    the empty diagram, which has no loops, counted as one loop."""
+    return _index(s.splice_exponent, s.loop_count)
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +254,33 @@ def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
 
 def _open_crossing(
     d: Diagram, crossing: int, max_crossings: Optional[int]
-) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
-    """<D>, <D> with ``crossing`` changed, and the brackets of the oriented
-    and the disoriented splice there, from one state sum that leaves the
-    crossing open.
+) -> tuple[SpliceContext, LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """The splice context of ``crossing`` (first arc reversed) and the
+    f-polynomials of ``d``, of ``d`` with the crossing changed, and of the
+    oriented and the disoriented splice there, from one state sum that
+    leaves the crossing open: the one body of both skein checks.  Raises
+    ValueError for a negative limit, then TooManyCrossings, then
+    UnknownCrossing.
 
-    With <D_A> and <D_B> the brackets of its A and B splices, Kauffman's
-    relation gives <D> = A<D_A> + A^-1<D_B>; a crossing change swaps the
-    A and the B splice, and ``ald.ORIENTED_SPLICE`` says which of them is
-    the oriented one.
+    With <D_A> and <D_B> the brackets of the A and the B splice,
+    Kauffman's relation gives <D> = A<D_A> + A^-1<D_B>; a crossing change
+    swaps the A and the B splice, and ``ald.ORIENTED_SPLICE`` says which
+    of them is the oriented one.  Every writhe is read off the cut, with
+    s the sign: k + l + s for ``d``, k + l - s with the crossing changed,
+    k + l for the oriented splice and k - l for the disoriented one.
     """
     g = _state_sum_graph(d, max_crossings)
-    d.passage_positions(crossing)  # raises UnknownCrossing
-    c = d.crossing_count
-    br_a, br_b = (_assemble(c - 1, hist) for hist in _open_histograms(g, crossing - 1))
-    oriented_is_a = ORIENTED_SPLICE[d.signs()[crossing]] == "A"
-    br_0, br_inf = (br_a, br_b) if oriented_is_a else (br_b, br_a)
-    return br_a.shift(1) + br_b.shift(-1), br_b.shift(1) + br_a.shift(-1), br_0, br_inf
+    ctx = splice_context(d, crossing)
+    br_a, br_b = (_assemble(g.vertex_count - 1, hist) for hist in _open_histograms(g, crossing - 1))
+    s, kl = ctx.sign, ctx.k + ctx.l
+    br_0, br_inf = (br_a, br_b) if ORIENTED_SPLICE[s] == "A" else (br_b, br_a)
+    return (
+        ctx,
+        _normalize(kl + s, br_a.shift(1) + br_b.shift(-1)),
+        _normalize(kl - s, br_b.shift(1) + br_a.shift(-1)),
+        _normalize(kl, br_0),
+        _normalize(ctx.k - ctx.l, br_inf),
+    )
 
 
 def _bracket(g: RibbonGraph) -> LaurentPoly:
@@ -310,9 +325,8 @@ def f_polynomial(d: Diagram, max_crossings: Optional[int] = None) -> LaurentPoly
 
 
 def _spectrum(c: int, hist: Mapping[tuple[int, int], int]) -> set[int]:
-    # the state indices of a c-crossing diagram's (#B, loops) histogram;
-    # the empty diagram's one state (no loops) counts as the unknot's
-    return {(c - 2 * n_b + 2 * max(loops, 1) - 2) % 4 for n_b, loops in hist}
+    # the state indices of a c-crossing diagram's (#B, loops) histogram
+    return {_index(c - 2 * n_b, loops) for n_b, loops in hist}
 
 
 def _word_invariants(d: Diagram, hist: Mapping[tuple[int, int], int]) -> tuple[LaurentPoly, tuple[int, ...]]:
@@ -372,29 +386,26 @@ def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int]
     """Verify the splice identity at one crossing, exactly.
 
     One state sum over the other crossings, with this one left open,
-    gives <D> and the brackets of both splices (see ``_open_crossing``).
-    Each f takes its writhe from the diagram-level splice: ``d``,
-    ``splice_oriented`` and ``splice_disoriented``.  The disoriented
-    splice depends on which arc is reversed: k, l and the resulting writhe
-    are per-choice data, but (-A^3)^(-2l) f_inf does not depend on the
-    choice, so the identity must hold for both matched (l, f_inf) pairs.
-    Both sides are assembled separately and compared exactly.  A failure
-    raises IdentityViolation since the identity holds for every diagram;
-    the report carries the first-arc numbers.  ``max_crossings`` limits
-    the crossings of ``d``.
+    gives f, f0 and finf, each normalised by a writhe read off the cut of
+    ``splice_context`` with the first arc reversed; no splice diagram is
+    built (see ``_open_crossing``).  Both sides are assembled separately
+    and compared exactly.  A failure raises IdentityViolation since the
+    identity holds for every diagram.
+
+    Reversing the other arc changes k, l and the disoriented writhe but
+    not k + l, the bracket of the splice or (-A^3)^(-2l) finf, so it gives
+    the same verdict.  That is a property of ``splice_context`` and of the
+    bracket, tested in ``tests/test_diagram.py``, and not checked again
+    here.  ``max_crossings`` limits the crossings of ``d``.
     """
-    br, _, br_0, br_inf = _open_crossing(d, crossing, max_crossings)
-    f = _normalize(writhe(d), br)
-    f0 = _normalize(writhe(splice_oriented(d, crossing)), br_0)
-    arcs = ("first", "second")
-    ctx, ctx2 = (splice_context(d, crossing, arc) for arc in arcs)
-    finf, finf2 = (_normalize(writhe(splice_disoriented(d, crossing, arc)), br_inf) for arc in arcs)
-    if _normalize(2 * ctx.l, finf) != _normalize(2 * ctx2.l, finf2):
-        raise IdentityViolation(
-            "(-A^3)^(-2l) f_inf differs between the two arc choices"
-        )
+    ctx, f, _, f0, finf = _open_crossing(d, crossing, max_crossings)
     rhs = _skein_rhs(ctx.sign, ctx.l, f0, finf)
-    report = SkeinReport(
+    holds = f == rhs
+    if not holds:
+        raise IdentityViolation(
+            f"skein identity failed at crossing {crossing}: {f} != {rhs}"
+        )
+    return SkeinReport(
         crossing=crossing,
         sign=ctx.sign,
         k=ctx.k,
@@ -403,13 +414,8 @@ def skein_identity_check(d: Diagram, crossing: int, max_crossings: Optional[int]
         f_oriented=f0,
         f_disoriented=finf,
         rhs=rhs,
-        holds=(f == rhs and f == _skein_rhs(ctx2.sign, ctx2.l, f0, finf2)),
+        holds=holds,
     )
-    if not report.holds:
-        raise IdentityViolation(
-            f"skein identity failed at crossing {crossing}: {f} != {rhs}"
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -503,23 +509,16 @@ def finite_type_recursion_check(
     at one crossing.  The exact difference identity is asserted (it is a
     theorem); the series formula is reported under both l conventions.
 
-    One state sum with the crossing left open gives the brackets of ``d``,
-    of ``d`` with the crossing changed (writhe less twice the sign) and of
-    both splices (see ``_open_crossing``); the splices' writhes come from
-    ``splice_oriented`` and ``splice_disoriented``.  ``max_crossings``
-    limits the crossings of ``d``.  A negative ``order`` raises ValueError
-    before any state sum.
+    The f-polynomials of ``d``, of ``d`` with the crossing changed and of
+    both splices come from the one state sum and the writhes of
+    ``skein_identity_check`` (see ``_open_crossing``), and so do its
+    errors, after a negative ``order``, which raises ValueError before
+    any state sum.
     """
     _check_order(order)
-    ctx = splice_context(d, crossing)
+    ctx, f_d, f_changed, f0, finf = _open_crossing(d, crossing, max_crossings)
     l = ctx.l
-    br, br_changed, br_0, br_inf = _open_crossing(d, crossing, max_crossings)
-    w = writhe(d)
-    f_d = _normalize(w, br)
-    f_changed = _normalize(w - 2 * ctx.sign, br_changed)
     f_plus, f_minus = (f_d, f_changed) if ctx.sign > 0 else (f_changed, f_d)
-    f0 = _normalize(writhe(splice_oriented(d, crossing)), br_0)
-    finf = _normalize(writhe(splice_disoriented(d, crossing)), br_inf)
     diff = f_plus - f_minus
     rhs = _skein_rhs(1, l, f0, finf) - _skein_rhs(-1, l, f0, finf)
     holds = diff == rhs

@@ -20,7 +20,8 @@ Text format (one diagram):
       with sign ``+`` or ``-``, e.g. ``O1+U2+O3+U1+O2+U3+``
     - ``()`` (or a blank interior line) denotes a crossing-free component
 Crossing ids may be arbitrary positive integers; they are renumbered
-1..c in order of first appearance.
+1..c in order of first appearance.  An id (or PD edge label) longer than
+``int()`` converts is a MalformedToken.
 """
 
 from __future__ import annotations
@@ -185,6 +186,15 @@ def make_diagram(components: Iterable[Sequence[Passage]]) -> Diagram:
 _GAUSS_TOKEN = re.compile(r"\s*([OU])(\d+)([+-])")
 
 
+def _number(digits: str) -> int:
+    # int() refuses a digit run longer than the interpreter's conversion
+    # limit (4 300 digits by default) with a bare ValueError
+    try:
+        return int(digits)
+    except ValueError:
+        raise MalformedToken(f"number of {len(digits)} digits is too long") from None
+
+
 def parse_gauss(text: str) -> Diagram:
     """Parse the Gauss-code text format described in the module docstring."""
     lines = text.splitlines()
@@ -209,9 +219,10 @@ def parse_gauss(text: str) -> Diagram:
             if m is None:
                 raise MalformedToken(f"bad token at {stripped[pos:pos + 12]!r}")
             role, num, sign = m.groups()
-            if int(num) < 1:
+            cid = _number(num)
+            if cid < 1:
                 raise MalformedToken(f"crossing id must be positive in {m.group(0)!r}")
-            comp.append(Passage(int(num), role == "O", 1 if sign == "+" else -1))
+            comp.append(Passage(cid, role == "O", 1 if sign == "+" else -1))
             pos = m.end()
         components.append(comp)
     return make_diagram(components)
@@ -254,7 +265,7 @@ def parse_pd(text: str) -> Diagram:
             if kind == "V" and sign != "":
                 raise MalformedToken(f"virtual record {m.group(0)!r} must not carry a sign")
             records.append(
-                (kind, (int(a), int(b), int(c), int(dd)), 1 if sign == "+" else -1)
+                (kind, (_number(a), _number(b), _number(c), _number(dd)), 1 if sign == "+" else -1)
             )
             pos = m.end()
 
@@ -422,8 +433,8 @@ class SpliceContext:
     ``unchanged`` holds the crossings whose sign survives the disoriented
     splice (both intersecting arcs on the same side of the cut), ``flipped``
     those whose sign flips (one arc on each side).  ``k`` and ``l`` are the
-    corresponding signed counts, so writhe(d) = k + l + sign and the
-    disoriented splice has writhe k - l.
+    corresponding signed counts, so writhe(d) = k + l + sign, the oriented
+    splice has writhe k + l and the disoriented splice has writhe k - l.
     """
 
     crossing: int
@@ -583,10 +594,31 @@ def _insert(comp: Sequence[Passage], gap: int, items: Sequence[Passage]) -> list
     return list(comp[:gap]) + list(items) + list(comp[gap:])
 
 
+def _add_site(d: Diagram, kind: str, site: object) -> tuple[list[tuple[int, int]], bool, int]:
+    """The (component, gap) places, the flag and the sign of an R1-add
+    site (comp, gap, over_first, sign) or an R2-add site ((comp_o, gap_o),
+    (comp_u, gap_u), parallel, sign).  Raises InapplicableMove for any
+    other shape, a place that is not two ints, a flag that is not a bool,
+    a sign other than 1 or -1, and a component d does not have."""
+    if isinstance(site, tuple) and len(site) == 4:
+        *places, flag, sign = site
+        if kind == R1_ADD:
+            places = [tuple(places)]
+        if (
+            all(isinstance(p, tuple) and len(p) == 2 and all(type(v) is int for v in p) for p in places)
+            and type(flag) is bool
+            and type(sign) is int
+            and sign in (1, -1)
+        ):
+            for ci, _ in places:
+                if not 0 <= ci < len(d.components):
+                    raise InapplicableMove(f"no component {ci}")
+            return places, flag, sign
+    raise InapplicableMove(f"malformed {kind} site {site!r}")
+
+
 def _apply_r1_add(d: Diagram, site: tuple) -> Diagram:
-    ci, gap, over_first, sign = site
-    if not (0 <= ci < len(d.components)):
-        raise InapplicableMove(f"no component {ci}")
+    [(ci, gap)], over_first, sign = _add_site(d, R1_ADD, site)
     cid = d.crossing_count + 1
     pair = [Passage(cid, over_first, sign), Passage(cid, not over_first, sign)]
     comps = [list(c) for c in d.components]
@@ -595,10 +627,7 @@ def _apply_r1_add(d: Diagram, site: tuple) -> Diagram:
 
 
 def _apply_r2_add(d: Diagram, site: tuple) -> Diagram:
-    (co, gap_o), (cu, gap_u), parallel, sign = site
-    for ci in (co, cu):
-        if not (0 <= ci < len(d.components)):
-            raise InapplicableMove(f"no component {ci}")
+    [(co, gap_o), (cu, gap_u)], parallel, sign = _add_site(d, R2_ADD, site)
     x = d.crossing_count + 1
     y = x + 1
     over_pair = [Passage(x, True, sign), Passage(y, True, -sign)]
@@ -679,8 +708,9 @@ def apply_move(d: Diagram, move: MoveKind, rng_seed: Optional[int] = None) -> Di
     classical R1/R2/R3 rewrites appear here.  A given site of a removal
     or an R3 move is checked against that kind's admissible sites; with
     no site, one is drawn at random (seeded by ``rng_seed``) from them.
-    Raises InapplicableMove for an unknown kind, and when the requested
-    site (or kind, if no site exists) does not admit the move.
+    Raises InapplicableMove for an unknown kind, for a site that does not
+    have the kind's layout, and when the requested site (or kind, if no
+    site exists) does not admit the move.
     """
     if move.kind not in _MOVES:
         raise InapplicableMove(f"unknown move kind {move.kind!r}")

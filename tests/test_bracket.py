@@ -22,6 +22,7 @@ from vknots.bracket import (
     state_index,
 )
 from vknots.diagram import (
+    UnknownCrossing,
     crossing_change,
     make_diagram,
     parse_gauss,
@@ -122,6 +123,20 @@ def test_state_index_matches_contribution_exponents():
         poly = state_contribution(s)
         residues = {e % 4 for e in poly.exponent_set()}
         assert residues == {state_index(s)}
+
+
+def test_state_index_agrees_with_contribution_and_spectrum():
+    # state_index and index_spectrum read one rule at every state, the one
+    # state of the empty diagram (no loops) included
+    rng = random.Random(41)
+    diagrams = [make_diagram([]), parse_gauss("()"), parse_gauss(KINK_PLUS)]
+    diagrams += [random_diagram(rng, rng.randrange(0, 5), components=rng.randrange(1, 4)) for _ in range(30)]
+    for d in diagrams:
+        spectrum = index_spectrum(d)
+        for bits in itertools.product("AB", repeat=d.crossing_count):
+            s = splice_state(d, {i + 1: b for i, b in enumerate(bits)})
+            assert {e % 4 for e in state_contribution(s).exponent_set()} == {state_index(s)}
+            assert state_index(s) in spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,23 @@ def test_negative_limit_rejected():
         with pytest.raises(TooManyCrossings):
             fn(kink, 1, max_crossings=0)
         assert fn(kink, 1, max_crossings=1) == fn(kink, 1, max_crossings=None), name
+
+
+def test_skein_checks_raise_in_one_order():
+    # both checks test the limit before the crossing: an unknown crossing
+    # under a negative or exceeded limit is a limit error
+    kink = parse_gauss(KINK_PLUS)
+    checks = (
+        skein_identity_check,
+        lambda d, c, max_crossings: finite_type_recursion_check(d, c, order=1, max_crossings=max_crossings),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="max_crossings"):
+            check(kink, 9, max_crossings=-1)
+        with pytest.raises(TooManyCrossings):
+            check(kink, 9, max_crossings=0)
+        with pytest.raises(UnknownCrossing):
+            check(kink, 9, max_crossings=None)
 
 
 def test_recursion_rejects_negative_order_before_state_sum():

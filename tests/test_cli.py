@@ -177,6 +177,26 @@ def test_comment_only_diagram_exit_2(capsys):
         assert "error:" in err and "ok" not in out
 
 
+LONG = "1" * 5000  # past the interpreter's int() conversion limit
+
+
+@pytest.mark.parametrize(
+    "source, text",
+    [("-c", f"O{LONG}+U{LONG}+"), ("file", f"X[{LONG},{LONG},2,2]+\n")],
+    ids=["gauss-inline", "pd-file"],
+)
+def test_overlong_number_exit_2(capsys, tmp_path, source, text):
+    if source == "file":
+        path = tmp_path / "kink.pd"
+        path.write_text(text)
+        argv = [str(path)]
+    else:
+        argv = ["-c", text]
+    code, _, err = run(capsys, "fpoly", *argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "env, argv",
     [

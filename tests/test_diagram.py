@@ -289,6 +289,7 @@ def test_splice_context_per_choice_invariants():
         a = splice_context(d, cid, "first")
         b = splice_context(d, cid, "second")
         assert a.k + a.l == b.k + b.l == writhe(d) - a.sign
+        assert writhe(splice_oriented(d, cid)) == writhe(d) - a.sign
         assert writhe(splice_disoriented(d, cid, "first")) == a.k - a.l
         assert writhe(splice_disoriented(d, cid, "second")) == b.k - b.l
 

@@ -68,6 +68,28 @@ def test_r2_add_two_components():
         assert f_polynomial(d2) == f_polynomial(base)
 
 
+@pytest.mark.parametrize(
+    "kind, site",
+    [
+        ("R1-add", (0,)),
+        ("R1-add", (0, "x", True, 1)),
+        ("R1-add", (0, 0.5, True, 1)),
+        ("R1-add", (0, 0, 1, 1)),
+        ("R1-add", (0, 0, True, 2)),
+        ("R1-add", [0, 0, True, 1]),
+        ("R2-add", ((0, 0), (0, 0), True)),
+        ("R2-add", (0, 0, True, 1)),
+        ("R2-add", ((0, 0, 0), (0, 0), True, 1)),
+        ("R2-add", ((0, 0), (0, None), True, 1)),
+        ("R2-add", ((0, 0), (0, 0), None, 1)),
+        ("R2-add", ((0, 0), (0, 0), True, 0)),
+    ],
+)
+def test_malformed_add_site_inapplicable(kind, site):
+    with pytest.raises(InapplicableMove):
+        apply_move(parse_gauss("O1+U1+"), MoveKind(kind, site))
+
+
 def test_r2_remove_inverse():
     rng = random.Random(5)
     base = parse_gauss(TREFOIL_MIRROR)
