@@ -9,141 +9,18 @@ harness for the structural properties these invariants satisfy.
 
 __version__ = "0.1.0"
 
-from .ald import (
-    Coloring,
-    ColorConflict,
-    NotAlternating,
-    RegionSet,
-    RibbonGraph,
-    boundary_regions,
-    build_ald,
-    checkerboard_colorable,
-    coloring_from_alternating,
-    euler_summary,
-    induced_state_coloring,
-    is_alternating,
-    make_alternating,
-)
-from .bracket import (
-    FiniteTypeSeries,
-    IdentityViolation,
-    IncompleteChoices,
-    State,
-    TooManyCrossings,
-    bracket,
-    bracket_parallel,
-    f_polynomial,
-    finite_type_coefficients,
-    finite_type_recursion_check,
-    index_spectrum,
-    skein_identity_check,
-    splice_state,
-    state_index,
-)
-from .diagram import (
-    BadDegree,
-    DanglingCrossing,
-    Diagram,
-    DiagramError,
-    InapplicableMove,
-    MalformedToken,
-    MoveKind,
-    OpenStrand,
-    Passage,
-    SignMismatch,
-    SpliceContext,
-    UnknownCrossing,
-    apply_move,
-    canonical_form,
-    crossing_change,
-    make_diagram,
-    parse_gauss,
-    parse_pd,
-    random_diagram,
-    random_move,
-    reverse_all,
-    serialize,
-    splice_context,
-    splice_disoriented,
-    splice_oriented,
-    writhe,
-)
-from .laurent import LaurentPoly, monomial_pow
-from .verify import (
-    EmptyDiagram,
-    EnumSpec,
-    SpecTooLarge,
-    VerificationRecord,
-    enumerate_diagrams,
-    find_nonalternating_form_witness,
-    fuzz_invariance,
-    sweep,
-    verify_diagram,
-)
+from sys import modules as _modules
 
+from .ald import *
+from .bracket import *
+from .diagram import *
+from .laurent import *
+from .verify import *
+
+# the package attribute ``bracket`` is the function, which hides the
+# submodule of that name, so the modules are looked up in sys.modules
 __all__ = [
-    "BadDegree",
-    "Coloring",
-    "ColorConflict",
-    "DanglingCrossing",
-    "Diagram",
-    "DiagramError",
-    "EmptyDiagram",
-    "EnumSpec",
-    "FiniteTypeSeries",
-    "IdentityViolation",
-    "InapplicableMove",
-    "IncompleteChoices",
-    "LaurentPoly",
-    "MalformedToken",
-    "MoveKind",
-    "NotAlternating",
-    "OpenStrand",
-    "Passage",
-    "RegionSet",
-    "RibbonGraph",
-    "SignMismatch",
-    "SpecTooLarge",
-    "SpliceContext",
-    "State",
-    "TooManyCrossings",
-    "UnknownCrossing",
-    "VerificationRecord",
-    "apply_move",
-    "boundary_regions",
-    "bracket",
-    "bracket_parallel",
-    "build_ald",
-    "canonical_form",
-    "checkerboard_colorable",
-    "coloring_from_alternating",
-    "crossing_change",
-    "enumerate_diagrams",
-    "euler_summary",
-    "f_polynomial",
-    "find_nonalternating_form_witness",
-    "finite_type_coefficients",
-    "finite_type_recursion_check",
-    "fuzz_invariance",
-    "index_spectrum",
-    "induced_state_coloring",
-    "is_alternating",
-    "make_alternating",
-    "make_diagram",
-    "monomial_pow",
-    "parse_gauss",
-    "parse_pd",
-    "random_diagram",
-    "random_move",
-    "reverse_all",
-    "serialize",
-    "skein_identity_check",
-    "splice_context",
-    "splice_disoriented",
-    "splice_oriented",
-    "splice_state",
-    "state_index",
-    "sweep",
-    "verify_diagram",
-    "writhe",
+    name
+    for layer in ("ald", "bracket", "diagram", "laurent", "verify")
+    for name in _modules[f"{__name__}.{layer}"].__all__
 ]

@@ -483,3 +483,21 @@ def euler_summary(d: Diagram) -> dict[str, int]:
         "free_loops": g.free_loops,
         "euler_closed": v - e + b,
     }
+
+
+__all__ = [
+    "ColorConflict",
+    "Coloring",
+    "IncompleteChoices",
+    "NotAlternating",
+    "RegionSet",
+    "RibbonGraph",
+    "boundary_regions",
+    "build_ald",
+    "checkerboard_colorable",
+    "coloring_from_alternating",
+    "euler_summary",
+    "induced_state_coloring",
+    "is_alternating",
+    "make_alternating",
+]

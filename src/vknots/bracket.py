@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import atexit
 import marshal
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -561,8 +562,13 @@ def bracket_parallel(
     or when no helper is running yet and this process runs more than one
     thread.  The helpers stay for later calls and end with this process.
     """
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be positive")
+    if workers is not None:
+        try:
+            workers = operator.index(workers)
+        except TypeError:
+            raise TypeError(f"workers must be an int or None, got {workers!r}") from None
+        if workers < 1:
+            raise ValueError("workers must be positive")
     g = _state_sum_graph(d, max_crossings)
     return _bracket(g, _cpu_limit() if workers is None else workers)
 
@@ -823,10 +829,8 @@ __all__ = [
     "DEFAULT_MAX_CROSSINGS",
     "FiniteTypeSeries",
     "IdentityViolation",
-    "IncompleteChoices",
     "RecursionReport",
     "SkeinReport",
-    "SpliceContext",
     "State",
     "TooManyCrossings",
     "bracket",

@@ -74,28 +74,10 @@ def _read_diagrams(args) -> list[Diagram]:
     return diagrams
 
 
-def _add_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", nargs="?", help="diagram file (Gauss or PD text)")
-    p.add_argument("-c", "--code", help="inline diagram code instead of a file")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-
 def _nonnegative_int(text: str) -> int:
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
-
-
-def _add_limits(p: argparse.ArgumentParser) -> None:
-    # a string default (the environment value) goes through the type check,
-    # so a malformed or negative VKNOTS_MAX_CROSSINGS is a usage error like
-    # a malformed or negative flag
-    p.add_argument(
-        "--max-crossings",
-        type=_nonnegative_int,
-        default=os.environ.get("VKNOTS_MAX_CROSSINGS", DEFAULT_MAX_CROSSINGS),
-        help=f"state-sum size limit (default {DEFAULT_MAX_CROSSINGS}, or VKNOTS_MAX_CROSSINGS)",
-    )
 
 
 def _poly_cmd(args, normalized: bool) -> int:
@@ -230,6 +212,15 @@ def _fuzz_cmd(args) -> int:
     return 0 if report.ok else 1
 
 
+# the subcommands that read diagrams from a file or -c: name, help, handler
+_DIAGRAM_COMMANDS = (
+    ("fpoly", "print the f-polynomial of each diagram", lambda a: _poly_cmd(a, normalized=True)),
+    ("bracket", "print the Kauffman bracket of each diagram", lambda a: _poly_cmd(a, normalized=False)),
+    ("check", "colorability, alternating-ness and congruence verdict", _check_cmd),
+    ("verify", "skein and state-index property checks per diagram", _verify_cmd),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vknots",
@@ -239,25 +230,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fpoly", help="print the f-polynomial of each diagram")
-    _add_input(p)
-    _add_limits(p)
-    p.set_defaults(func=lambda a: _poly_cmd(a, normalized=True))
-
-    p = sub.add_parser("bracket", help="print the Kauffman bracket of each diagram")
-    _add_input(p)
-    _add_limits(p)
-    p.set_defaults(func=lambda a: _poly_cmd(a, normalized=False))
-
-    p = sub.add_parser("check", help="colorability, alternating-ness and congruence verdict")
-    _add_input(p)
-    _add_limits(p)
-    p.set_defaults(func=_check_cmd)
-
-    p = sub.add_parser("verify", help="skein and state-index property checks per diagram")
-    _add_input(p)
-    _add_limits(p)
-    p.set_defaults(func=_verify_cmd)
+    for name, help_text, func in _DIAGRAM_COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", nargs="?", help="diagram file (Gauss or PD text)")
+        p.add_argument("-c", "--code", help="inline diagram code instead of a file")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        # a string default (the environment value) goes through the type
+        # check, so a malformed or negative VKNOTS_MAX_CROSSINGS is a usage
+        # error like a malformed or negative flag
+        p.add_argument(
+            "--max-crossings",
+            type=_nonnegative_int,
+            default=os.environ.get("VKNOTS_MAX_CROSSINGS", DEFAULT_MAX_CROSSINGS),
+            help=f"state-sum size limit (default {DEFAULT_MAX_CROSSINGS}, or VKNOTS_MAX_CROSSINGS)",
+        )
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="exhaustive verification over small diagrams")
     p.add_argument("--max-crossings", type=int, default=4)

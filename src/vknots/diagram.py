@@ -675,7 +675,6 @@ _MOVES = {
     R2_REMOVE: (_r2_remove_sites, _drop_pairs),
     R3: (_r3_sites, _apply_r3),
 }
-MOVE_KINDS = tuple(_MOVES)
 
 
 def _random_site(d: Diagram, kind: str, rng: random.Random) -> tuple:
@@ -784,3 +783,33 @@ def random_diagram(rng: random.Random, crossings: int, components: int = 1) -> D
         else:
             comps[si].append(Passage(k + 1, not first_role[k], signs[k]))
     return make_diagram(comps)
+
+
+__all__ = [
+    "BadDegree",
+    "DanglingCrossing",
+    "Diagram",
+    "DiagramError",
+    "InapplicableMove",
+    "MalformedToken",
+    "MoveKind",
+    "OpenStrand",
+    "Passage",
+    "SignMismatch",
+    "SpliceContext",
+    "UnknownCrossing",
+    "apply_move",
+    "canonical_form",
+    "crossing_change",
+    "make_diagram",
+    "parse_gauss",
+    "parse_pd",
+    "random_diagram",
+    "random_move",
+    "reverse_all",
+    "serialize",
+    "splice_context",
+    "splice_disoriented",
+    "splice_oriented",
+    "writhe",
+]

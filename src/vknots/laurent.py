@@ -13,6 +13,26 @@ from typing import Iterable, Mapping, Union
 CongruenceClass = Union[int, str]  # 0..3, "mixed", or "empty"
 
 
+def _accumulate(into: dict[int, int], items: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add (exponent, coefficient) pairs into ``into``, keeping only the
+    nonzero sums."""
+    for e, c in items:
+        acc = into.get(e, 0) + c
+        if acc:
+            into[e] = acc
+        elif e in into:
+            del into[e]
+    return into
+
+
+def _wrap(terms: dict[int, int]) -> "LaurentPoly":
+    # a polynomial on a map with no zero coefficient, taken as it is,
+    # without the pass of __init__
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = terms
+    return out
+
+
 class LaurentPoly:
     """A Laurent polynomial stored as a map exponent -> nonzero coefficient.
 
@@ -23,16 +43,7 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        data: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coeff in items:
-            if coeff:
-                acc = data.get(exp, 0) + coeff
-                if acc:
-                    data[exp] = acc
-                elif exp in data:
-                    del data[exp]
-        self._terms = data
+        self._terms = _accumulate({}, terms.items() if isinstance(terms, Mapping) else terms)
 
     # -- constructors ------------------------------------------------
 
@@ -58,21 +69,10 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        r = dict(self._terms)
-        for e, c in other._terms.items():
-            acc = r.get(e, 0) + c
-            if acc:
-                r[e] = acc
-            elif e in r:
-                del r[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = r
-        return out
+        return _wrap(_accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return _wrap({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -80,18 +80,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        r: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                acc = r.get(e, 0) + c1 * c2
-                if acc:
-                    r[e] = acc
-                elif e in r:
-                    del r[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = r
-        return out
+        terms = other._terms.items()
+        return _wrap(_accumulate({}, ((e1 + e2, c1 * c2) for e1, c1 in self._terms.items() for e2, c2 in terms)))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -108,15 +98,11 @@ class LaurentPoly:
     def scale(self, factor: int) -> "LaurentPoly":
         if not factor:
             return LaurentPoly.zero()
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: c * factor for e, c in self._terms.items()}
-        return out
+        return _wrap({e: c * factor for e, c in self._terms.items()})
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by A^exp."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + exp: c for e, c in self._terms.items()}
-        return out
+        return _wrap({e + exp: c for e, c in self._terms.items()})
 
     # -- queries -----------------------------------------------------
 
@@ -231,3 +217,9 @@ def monomial_pow(base_sign: int, base_exp: int, k: int) -> LaurentPoly:
 
 #: the extra-loop factor (-A^2 - A^-2) from the bracket rules
 LOOP_FACTOR = LaurentPoly({2: -1, -2: -1})
+
+
+__all__ = [
+    "LaurentPoly",
+    "monomial_pow",
+]

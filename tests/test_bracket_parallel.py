@@ -85,6 +85,18 @@ def test_worker_count_capped_at_usable_cpus(monkeypatch):
         B._release_helpers()
 
 
+@pytest.mark.parametrize("workers", [1.5, 2.5])
+def test_non_int_worker_count_rejected(four_cpus, workers):
+    """A worker count that is not an int is refused before the size check
+    and before any helper is forked."""
+    d = random_diagram(random.Random(41), 10)
+    helpers = list(B._helpers)
+    for max_crossings in (None, 1):
+        with pytest.raises(TypeError, match="workers"):
+            B.bracket_parallel(d, workers=workers, max_crossings=max_crossings)
+    assert B._helpers == helpers
+
+
 def test_prefix_shares_sum_to_state_histogram():
     """For every prefix length k, the histograms of the 2^k subtrees under
     the splice prefixes of the first k rows add up to the whole sum, both
