@@ -49,6 +49,12 @@ histograms; it keeps nothing between tasks and ends when its pipe is
 closed, which an exit hook of the calling process does.  Everything else
 here sums in the calling thread, and ``bracket`` is the oracle of the
 split sum.
+
+The finite-type coefficients v_n(p) = T_n(p) / n! of p(e^x) are built on
+the integer moments T_n(p) = sum_j coeff(j) j^n (``_moments``):
+``finite_type_coefficients`` returns them as exact rationals, while
+``finite_type_recursion_check`` compares each series row multiplied by
+n!, an equation of integers, so that it builds no Fraction.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Mapping, Optional
 
 from .ald import (
@@ -702,22 +708,31 @@ class FiniteTypeSeries:
         return self.coefficients[n]
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int) -> int:
+    """``order`` as an int; raises TypeError for a non-integer and
+    ValueError for a negative one."""
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"order must be an int, got {order!r}") from None
     if order < 0:
         raise ValueError("order must be nonnegative")
+    return order
+
+
+def _moments(p: LaurentPoly, order: int) -> list[int]:
+    """T_m = sum_j coeff(j) j^m for m = 0..order: m! v_m(p), the m-th
+    derivative of p(e^x) at x = 0, an integer."""
+    terms = p.terms()
+    return [sum(c * e**m for e, c in terms) for m in range(order + 1)]
 
 
 def finite_type_coefficients(p: LaurentPoly, order: int) -> FiniteTypeSeries:
     """v_m = sum_j coeff(j) j^m / m! for m = 0..order."""
-    _check_order(order)
-    coeffs = []
-    fact = 1
-    for m in range(order + 1):
-        if m:
-            fact *= m
-        total = sum(c * pow(e, m) for e, c in p.terms())
-        coeffs.append(Fraction(total, fact))
-    return FiniteTypeSeries(coefficients=tuple(coeffs))
+    moments = _moments(p, _check_order(order))
+    return FiniteTypeSeries(
+        coefficients=tuple(Fraction(t, factorial(m)) for m, t in enumerate(moments))
+    )
 
 
 @dataclass(frozen=True)
@@ -735,7 +750,13 @@ class RecursionReport:
         v_n(diff) = sum_{k<n} 2^(n-k)/(n-k)! [ (1-(-1)^(n-k)) v_k(f0)
                      + ((2-3l')^(n-k) - (-2-3l')^(n-k)) v_k(finf) ]
 
-    holds with l' = l and with l' = -l.
+    holds with l' = l and with l' = -l.  Each row is compared multiplied
+    by n!, in the integer moments T_k = k! v_k:
+
+        T_n(diff) = sum_{m=1..n} C(n, m) 2^m [ (1-(-1)^m) T_{n-m}(f0)
+                     + ((2-3l')^m - (-2-3l')^m) T_{n-m}(finf) ]
+
+    which holds exactly when the rational row does.
 
     ``difference_identity_holds`` is True in every report that
     ``finite_type_recursion_check`` returns: a failure of the identity
@@ -784,10 +805,12 @@ def finite_type_recursion_check(
     The f-polynomials of ``d``, of ``d`` with the crossing changed and of
     both splices come from the one state sum and the writhes of
     ``skein_identity_check`` (see ``_open_crossing``), and so do its
-    errors, after a negative ``order``, which raises ValueError before
-    any state sum.
+    errors, after the order check: an ``order`` that is not an int raises
+    TypeError and a negative one ValueError, before any state sum.  The
+    series rows are compared as n!-scaled sums of integer moments (see
+    ``RecursionReport``), with no Fraction.
     """
-    _check_order(order)
+    order = _check_order(order)
     ctx, f_d, f_changed, f0, finf = _open_crossing(d, crossing, max_crossings)
     l = ctx.l
     f_plus, f_minus = (f_d, f_changed) if ctx.sign > 0 else (f_changed, f_d)
@@ -798,30 +821,27 @@ def finite_type_recursion_check(
         raise IdentityViolation(
             f"crossing-switch difference identity failed at crossing {crossing}"
         )
-    v_diff = finite_type_coefficients(diff, order)
-    v0 = finite_type_coefficients(f0, order)
-    vinf = finite_type_coefficients(finf, order)
+    t_diff, t0, tinf = (_moments(p, order) for p in (diff, f0, finf))
 
-    def series_rhs(n: int, ell: int) -> Fraction:
-        total = Fraction(0)
-        fact = 1
-        for m in range(1, n + 1):  # m = n - k
-            fact *= m
-            k = n - m
-            term0 = (1 - (-1) ** m) * v0[k]
-            terminf = ((2 - 3 * ell) ** m - (-2 - 3 * ell) ** m) * vinf[k]
-            total += Fraction(2**m, fact) * (term0 + terminf)
-        return total
+    def rows(ell: int) -> tuple[bool, ...]:
+        # row n of the series recursion times n!, with m = n - k:
+        # n! 2^m / m! v_k = C(n, m) 2^m T_k
+        a, b = 2 - 3 * ell, -2 - 3 * ell
+        return tuple(
+            t_diff[n] == sum(
+                comb(n, m) * 2**m * ((1 - (-1) ** m) * t0[n - m] + (a**m - b**m) * tinf[n - m])
+                for m in range(1, n + 1)
+            )
+            for n in range(order + 1)
+        )
 
-    match_l = tuple(v_diff[n] == series_rhs(n, l) for n in range(order + 1))
-    match_neg = tuple(v_diff[n] == series_rhs(n, -l) for n in range(order + 1))
     return RecursionReport(
         crossing=crossing,
         l=l,
         order=order,
         difference_identity_holds=holds,
-        series_match_l=match_l,
-        series_match_negated_l=match_neg,
+        series_match_l=rows(l),
+        series_match_negated_l=rows(-l),
     )
 
 

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -35,6 +37,8 @@ from vknots.laurent import LOOP_FACTOR, LaurentPoly
 from vknots.verify import verify_diagram
 
 from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
+
+B = importlib.import_module("vknots.bracket")  # the package's ``bracket`` is the function
 
 F_TREFOIL = LaurentPoly({4: 1, 12: 1, 16: -1})
 F_VIRTUAL_TREFOIL = LaurentPoly({4: 1, 6: 1, 10: -1})
@@ -335,6 +339,24 @@ def test_recursion_rejects_negative_order_before_state_sum():
         finite_type_recursion_check(d, 1, order=-1)
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, "3", None])
+def test_non_int_order_rejected_before_state_sum(monkeypatch, order):
+    """An order that is not an int is a TypeError, raised before any state
+    sum and before the size check; a bool or another index type is taken."""
+
+    def no_state_sum(*args):
+        raise AssertionError("state sum run for a bad order")
+
+    monkeypatch.setattr(B, "_open_histograms", no_state_sum)
+    d = random_diagram(random.Random(16), 7, components=1)
+    for max_crossings in (None, 6):
+        with pytest.raises(TypeError, match="order"):
+            finite_type_recursion_check(d, 1, order=order, max_crossings=max_crossings)
+    with pytest.raises(TypeError, match="order"):
+        finite_type_coefficients(F_TREFOIL, order)
+    assert finite_type_coefficients(F_TREFOIL, True) == finite_type_coefficients(F_TREFOIL, 1)
+
+
 def test_bracket_parallel_deterministic(trefoil):
     expected = bracket(trefoil)
     for workers in (1, 2, 8):
@@ -487,3 +509,51 @@ def test_recursion_check_virtual_trefoil(virtual_trefoil_mirror):
     assert all(report.series_match_l)
     assert not all(report.series_match_negated_l)
     assert report.identified_convention == "as-defined"
+
+
+def _series_rows_reference(diff, f0, finf, l, order):
+    """The series rows of a recursion report by the rational formula of
+    ``RecursionReport``: v_n(diff) against sum_{m=1..n} 2^m/m! [(1-(-1)^m)
+    v_{n-m}(f0) + ((2-3l)^m - (-2-3l)^m) v_{n-m}(finf)], with each v_k a
+    Fraction."""
+
+    def v(p):
+        return [Fraction(sum(c * e**k for e, c in p.terms()), factorial(k)) for k in range(order + 1)]
+
+    v_diff, v0, vinf = v(diff), v(f0), v(finf)
+    rows = []
+    for n in range(order + 1):
+        rhs = Fraction(0)
+        for m in range(1, n + 1):
+            k = n - m
+            rhs += Fraction(2**m, factorial(m)) * (
+                (1 - (-1) ** m) * v0[k] + ((2 - 3 * l) ** m - (-2 - 3 * l) ** m) * vinf[k]
+            )
+        rows.append(v_diff[n] == rhs)
+    return tuple(rows)
+
+
+def test_recursion_rows_match_rational_reference():
+    """Oracle for the integer row comparison of the recursion check: the
+    full row tuples under both conventions equal the Fraction formula's, at
+    every crossing of seeded diagrams, with f, f0 and finf from the skein
+    report and f of the crossing change from its own state sum."""
+    rng = random.Random(21)
+    reports = mixed = 0
+    for _ in range(60):
+        d = random_diagram(rng, rng.randrange(1, 8), components=rng.randrange(1, 4))
+        signs = d.signs()
+        for cid in range(1, d.crossing_count + 1):
+            skein = skein_identity_check(d, cid)
+            changed = f_polynomial(crossing_change(d, cid))
+            diff = skein.f - changed if signs[cid] > 0 else changed - skein.f
+            for order in (0, 1, 3, 6):
+                report = finite_type_recursion_check(d, cid, order=order)
+                args = (diff, skein.f_oriented, skein.f_disoriented)
+                assert report.series_match_l == _series_rows_reference(*args, report.l, order)
+                assert report.series_match_negated_l == _series_rows_reference(*args, -report.l, order)
+                reports += 1
+                mixed += len(set(report.series_match_negated_l)) > 1
+    # a wrong binomial or sign shows in the rows that hold for one
+    # convention and not the other
+    assert reports > 600 and mixed > reports // 4
