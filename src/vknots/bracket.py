@@ -491,10 +491,9 @@ def _assemble(c: int, hist: Mapping[tuple[int, int], int]) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
-    """The ribbon graph of d for a state sum; raises ValueError for a
-    negative limit, then TooManyCrossings when d has more crossings than
-    the limit."""
+def _check_size(d: Diagram, max_crossings: Optional[int]) -> None:
+    """Raise ValueError for a negative limit, then TooManyCrossings when d
+    has more crossings than the limit of a state sum."""
     if max_crossings is not None and max_crossings < 0:
         raise ValueError("max_crossings must be nonnegative")
     limit = DEFAULT_MAX_CROSSINGS if max_crossings is None else max_crossings
@@ -502,6 +501,11 @@ def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
         raise TooManyCrossings(
             f"{d.crossing_count} crossings exceeds the limit {limit}"
         )
+
+
+def _state_sum_graph(d: Diagram, max_crossings: Optional[int]) -> RibbonGraph:
+    """The ribbon graph of d for a state sum, after ``_check_size``."""
+    _check_size(d, max_crossings)
     return build_ald(d)
 
 

@@ -12,24 +12,41 @@ prints).  The harness can also search the enumeration for alternating
 diagrams whose f-polynomial is not of alternating form, and fuzz move
 invariance.
 
-:func:`verify_diagram` turns one (#B, loops) state histogram into f, its
-congruence class, the f(1) verdict and the index spectrum.  The histogram
-depends only on the signed word of a diagram, not on which passage of a
-crossing is over (see :mod:`vknots.bracket`), so ``verify_diagram`` keeps
-a one-entry memo: the last diagram whose state sum it ran, with those
-four and whether crossing changes make it alternating
-(``make_alternating(d) is not None``).  That verdict does not depend on
-the roles either: ``make_alternating`` reads only crossing ids and
-roles, and swapping the roles at the crossings of a set T is, from its
-point of view, a crossing change at T, so a set S of changes works for
-d exactly when S xor T works for the variant.  A diagram of the same
-word reuses all five, f object included; :func:`enumerate_diagrams`
-yields a word's role variants one after another, so :func:`sweep` runs
-one state sum and one ``make_alternating`` per word.  Colorability is
-still traced from each diagram's own ribbon graph, so
-``alternating_equiv_ok`` checks both sides of the equivalence on every
-diagram.  The public functions of ``bracket`` and ``ald`` keep no memo,
-and the tests use them as the memo's oracle.
+:func:`verify_diagram` computes each verdict once, at the level it
+depends on, and keeps the last value of each level:
+
+- Per signed word (component lengths, and the crossing id and sign at
+  each position): one (#B, loops) state histogram, turned into f, its
+  congruence class, the f(1) verdict and the index spectrum.  The
+  histogram does not depend on which passage of a crossing is over (see
+  :mod:`vknots.bracket`); the last diagram whose state sum ran is kept
+  with those four, f object included.
+- Per unsigned word (the signed word without its signs): whether
+  crossing changes make the diagram alternating (``make_alternating(d)
+  is not None``).  ``make_alternating`` reads only crossing ids and
+  roles, and swapping the roles at the crossings of a set T is, from its
+  point of view, a crossing change at T, so a set S of changes works for
+  d exactly when S xor T works for the variant.
+- Per flat class (the diagrams related by crossing changes): whether the
+  diagram is checkerboard colorable.  A crossing change rotates the four
+  slots of its vertex in the ribbon graph (``ald._slot``) and changes
+  nothing else, so the ribbon surface, and its colorability, is the same
+  on the whole class.  The verdicts of the current unsigned word's flat
+  classes, at most ``2^c`` of them, are kept in a table that a new
+  unsigned word replaces.  A diagram of a class known not to be colorable
+  builds no ribbon graph unless its state sum runs; a colorable diagram
+  still gets the coloring traced from its own ribbon graph.
+- Per diagram: whether it is alternating, and the record.
+
+:func:`enumerate_diagrams` yields an unsigned word's diagrams one after
+another, sign vector by sign vector and each sign vector's role variants
+in turn, so :func:`sweep` runs one state sum per signed word, one
+``make_alternating`` per unsigned word and one colorability trace per
+flat class and per colorable diagram.  ``alternating_equiv_ok`` still
+compares two independent computations on every flat class: colorability
+traced from a ribbon graph against the crossing-change search of
+``make_alternating``.  The public functions of ``bracket`` and ``ald``
+keep no memo, and the tests use them as the memos' oracle.
 """
 
 from __future__ import annotations
@@ -41,8 +58,8 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, product
 from typing import Iterator, Optional
 
-from .ald import Coloring, _checkerboard_coloring, is_alternating, make_alternating
-from .bracket import _state_histogram, _state_sum_graph, _word_invariants, f_polynomial
+from .ald import Coloring, _checkerboard_coloring, build_ald, is_alternating, make_alternating
+from .bracket import _check_size, _state_histogram, _word_invariants, f_polynomial
 from .diagram import (
     Diagram,
     DiagramError,
@@ -110,76 +127,82 @@ def _fill(
     """All ways to arrange ``crossings`` signed O/U pairs into components of
     the given sizes, ids normalized by first appearance.
 
-    A depth-first walk places the signed word: at each position either an
-    already-open crossing closes or a fresh one opens, choosing its sign.
-    Roles come last: at each complete word every assignment of over and
-    under to the two passages of each crossing is built and yielded in
-    turn, so a word's diagrams form one consecutive run.  With
-    ``alternating_only`` an assignment is instead a head role per nonempty
-    component, alternating along it, and only those giving every crossing
-    one over and one under passage are built.  A crossing that closes on
-    its own component an even number of positions after it opened can
-    never alternate, so the walk does not place it.
+    A depth-first walk places the unsigned word: at each position either
+    an already-open crossing closes or a fresh one opens.  Signs and roles
+    come last: at each complete word every sign vector is taken in turn,
+    and for each every assignment of over and under to the two passages
+    of each crossing is built and yielded in turn, so each unsigned
+    word's diagrams form one consecutive run, and within it each signed
+    word's.  With ``alternating_only`` an assignment is instead a head
+    role per nonempty component, alternating along it, and only those
+    giving every crossing one over and one under passage are built.  A
+    crossing that closes on its own component an even number of
+    positions after it opened can never alternate, so the walk does not
+    place it.
     """
     positions = [(ci, j) for ci, size in enumerate(sizes) for j in range(size)]
     total = len(positions)
     ends = list(accumulate(sizes))
     bounds = list(zip([0] + ends, ends))  # each component's slice of the positions
-    # (crossing, sign, position of its opening or None if it opens here)
-    word: list[tuple[int, int, Optional[int]]] = []
-    open_at: dict[int, tuple[int, int]] = {}  # open crossing -> (sign, position)
+    # (crossing, position of its opening or None if it opens here)
+    word: list[tuple[int, Optional[int]]] = []
+    open_at: dict[int, int] = {}  # open crossing -> position of its opening
 
     def split(flat: list[Passage]) -> tuple[tuple[Passage, ...], ...]:
-        return tuple(tuple(flat[a:b]) for a, b in bounds)
+        return tuple([tuple(flat[a:b]) for a, b in bounds])
 
-    def leaf() -> Iterator[tuple[tuple[Passage, ...], ...]]:
-        # the positions of the two passages of each crossing
-        pairs = [(k, opened) for k, (_, _, opened) in enumerate(word) if opened is not None]
-        if alternating_only:
-            # roles alternate along each component from the role of its head
-            nonempty = [ci for ci, size in enumerate(sizes) if size]
-            for heads in product((True, False), repeat=len(nonempty)):
-                head_of = dict(zip(nonempty, heads))
-                over = [head_of[ci] != bool(j & 1) for ci, j in positions]
-                if all(over[a] != over[b] for a, b in pairs):
-                    yield split([_passage(x, o, sign) for (x, sign, _), o in zip(word, over)])
-            return
-        # a Gray code over the crossings: each step swaps the two passages
-        # of one crossing, which exchanges its over and under roles
-        flat = [_passage(x, opened is None, sign) for x, sign, opened in word]
-        yield split(flat)
-        for i in range(1, 1 << crossings):
-            a, b = pairs[(i & -i).bit_length() - 1]
-            flat[a], flat[b] = flat[b], flat[a]
-            yield split(flat)
-
-    def rec(idx: int, next_id: int) -> Iterator[tuple[tuple[Passage, ...], ...]]:
+    def rec(idx: int, next_id: int) -> Iterator[None]:
+        # yields once at each complete unsigned word, held in ``word``
         if idx == total:
             if not open_at:
-                yield from leaf()
+                yield None
             return
         ci, j = positions[idx]
         # close an open crossing
         for x in sorted(open_at):
-            sign, k = open_at[x]
+            k = open_at[x]
             ck, l = positions[k]
             if alternating_only and ck == ci and not (j - l) & 1:
                 continue
             del open_at[x]
-            word.append((x, sign, k))
+            word.append((x, k))
             yield from rec(idx + 1, next_id)
             word.pop()
-            open_at[x] = (sign, k)
+            open_at[x] = k
         # open a new one, if the remaining positions can still close everything
         if next_id <= crossings and len(open_at) + 1 <= total - idx - 1:
-            for sign in (1, -1):
-                open_at[next_id] = (sign, idx)
-                word.append((next_id, sign, None))
-                yield from rec(idx + 1, next_id + 1)
-                word.pop()
-                del open_at[next_id]
+            open_at[next_id] = idx
+            word.append((next_id, None))
+            yield from rec(idx + 1, next_id + 1)
+            word.pop()
+            del open_at[next_id]
 
-    yield from rec(0, 1)
+    for _ in rec(0, 1):
+        # the positions of the two passages of each crossing
+        pairs = [(k, opened) for k, (_, opened) in enumerate(word) if opened is not None]
+        if alternating_only:
+            # roles alternate along each component from the role of its head
+            nonempty = [ci for ci, size in enumerate(sizes) if size]
+            roles = []
+            for heads in product((True, False), repeat=len(nonempty)):
+                head_of = dict(zip(nonempty, heads))
+                over = [head_of[ci] != bool(j & 1) for ci, j in positions]
+                if all(over[a] != over[b] for a, b in pairs):
+                    roles.append(over)
+            for signs in product((1, -1), repeat=crossings):
+                for over in roles:
+                    yield split([_passage(x, o, signs[x - 1]) for (x, _), o in zip(word, over)])
+            continue
+        for signs in product((1, -1), repeat=crossings):
+            # a Gray code over the crossings: each step swaps the two
+            # passages of one crossing, which exchanges its over and under
+            # roles
+            flat = [_passage(x, opened is None, signs[x - 1]) for x, opened in word]
+            yield split(flat)
+            for i in range(1, 1 << crossings):
+                a, b = pairs[(i & -i).bit_length() - 1]
+                flat[a], flat[b] = flat[b], flat[a]
+                yield split(flat)
 
 
 def _alternation_closes(sizes: tuple[int, ...]) -> bool:
@@ -198,12 +221,17 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
     the shared ``_passage``, so each component tuple it yields is already
     what ``make_diagram`` would return, and is wrapped as it is.
 
-    Order contract: diagrams that differ only in which passage of each
-    crossing is over, their signed word (component lengths, and the
-    crossing id and sign at each position) being the same, are yielded
-    consecutively.  Their f-polynomials are equal (see
-    :mod:`vknots.bracket`), so a caller verifying the stream in order,
-    such as :func:`sweep`, runs one state sum per signed word.
+    Order contract: diagrams with one unsigned word (component lengths,
+    and the crossing id at each position) are yielded consecutively, and
+    within that run so are diagrams that differ only in which passage of
+    each crossing is over, their signed word (the crossing id and sign at
+    each position) being the same.  Diagrams of one signed word have
+    equal f-polynomials (see :mod:`vknots.bracket`), and diagrams of one
+    unsigned word one alternatability verdict and at most ``2^c`` flat
+    classes, so a caller verifying the stream in order, such as
+    :func:`sweep`, runs one state sum per signed word, one
+    ``make_alternating`` per unsigned word and one colorability trace per
+    flat class and per colorable diagram.
     """
     spec.validate()
     for c in range(spec.max_crossings + 1):
@@ -277,21 +305,38 @@ def _same_word(d: Diagram, e: Diagram) -> bool:
     return True
 
 
-# The one-entry memo of verify_diagram: the last diagram whose state sum it
-# ran, with its f, congruence class, f(1) verdict, sorted index spectrum
-# and whether crossing changes make it alternating.
-_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...], bool]] = None
+def _flat_class(d: Diagram) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The key of d's flat class, the diagrams related to d by crossing
+    changes: ``(crossing, sign if over else -sign)`` at each position.  A
+    crossing change negates both the sign and the role at both passages
+    of its crossing, so it keeps the key; the key also fixes d's unsigned
+    word."""
+    return tuple([tuple([(x, s if o else -s) for x, o, s in comp]) for comp in d.components])
+
+
+# The memos of verify_diagram.  _word: the last unsigned word it met, as
+# the crossing ids of each component, whether crossing changes make that
+# word alternating, and a table of the colorability verdicts of the word's
+# flat classes met so far, keyed by _flat_class (at most 2^c of them).
+# _last: the last diagram whose state sum it ran, with its f, congruence
+# class, f(1) verdict and sorted index spectrum.
+_word: Optional[tuple[tuple[tuple[int, ...], ...], bool, dict[tuple, bool]]] = None
+_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...]]] = None
 
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
     """Evaluate all per-diagram properties; ``max_crossings`` is the
-    state-sum size limit of :func:`f_polynomial`.  The state sum and the
-    colorability check share one ribbon graph of ``d``.  A diagram
-    without components raises EmptyDiagram, and a negative
-    ``max_crossings`` ValueError.  A diagram with the signed word of the
-    previous call's diagram reuses that call's results (see the module
-    docstring) instead of running its own state sum and
-    ``make_alternating``.
+    state-sum size limit of :func:`f_polynomial`.  A diagram without
+    components raises EmptyDiagram, a negative ``max_crossings``
+    ValueError and a diagram over the limit TooManyCrossings, all before
+    any memo is read.  A
+    diagram with the signed word of the previous state sum's diagram
+    reuses that sum's results, one with the unsigned word of the previous
+    call's diagram reuses its alternatability verdict, and one of a flat
+    class already found not colorable skips its ribbon graph and its
+    colorability check (see the module docstring).  Otherwise the state
+    sum and the colorability check share one ribbon graph of ``d``, and
+    a colorable diagram always gets the coloring of its own ribbon graph.
 
     This is the package's one statement of the congruence verdict:
     ``congruence_ok`` holds vacuously for non-colorable diagrams; for
@@ -301,21 +346,36 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     n = d.component_count
     if not n:
         raise EmptyDiagram("a diagram without components is not a link")
-    g = _state_sum_graph(d, max_crossings)
-    # the memo entry is read once and replaced by one assignment, so a
-    # caller in another thread sees either the old or the new entry, and
-    # each entry is a diagram with its own results
-    global _last
+    _check_size(d, max_crossings)
+    # each memo entry is read once and replaced by one assignment, so a
+    # caller in another thread sees either the old or the new entry.  A
+    # flat class is stored only in the table of its own unsigned word, and
+    # its key fixes that word, so a table hit also means the word matches
+    global _word, _last
+    word = _word
+    flat = _flat_class(d)
+    known = None if word is None else word[2].get(flat)
+    if known is None:
+        unsigned = tuple([tuple([x for x, _ in comp]) for comp in flat])
+        if word is None or word[0] != unsigned:
+            word = _word = (unsigned, make_alternating(d) is not None, {})
+    alternatable = word[1]
+    g = None
     last = _last
     if last is not None and _same_word(last[0], d):
-        _, f, congruence, unit_eval_ok, spectrum, alternatable = last
+        _, f, congruence, unit_eval_ok, spectrum = last
     else:
+        g = build_ald(d)
         f, spectrum = _word_invariants(d, _state_histogram(g))
         congruence = f.congruence_class_mod4()
         unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
-        alternatable = make_alternating(d) is not None
-        _last = (d, f, congruence, unit_eval_ok, spectrum, alternatable)
-    coloring = _checkerboard_coloring(g)
+        _last = (d, f, congruence, unit_eval_ok, spectrum)
+    if known is False:
+        coloring = None
+    else:
+        coloring = _checkerboard_coloring(build_ald(d) if g is None else g)
+        if known is None:
+            word[2][flat] = coloring is not None
     colorable = coloring is not None
     alternating = is_alternating(d)
     expected = 0 if n % 2 == 1 else 2

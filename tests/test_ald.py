@@ -251,6 +251,43 @@ def test_crossing_change_preserves_surface():
         assert (checkerboard_colorable(d) is None) == (checkerboard_colorable(d2) is None)
 
 
+def _rotated(g, vertex, step):
+    """g with the four slots of one vertex rotated by ``step``: the dart in
+    slot s there moves to slot s + step, every band keeps its index."""
+    base = 4 * (vertex - 1)
+
+    def move(dart):
+        return base + (dart - base + step) % 4 if base <= dart < base + 4 else dart
+
+    n = len(g.alpha)
+    alpha = [0] * n
+    band_of = [0] * n
+    for dart in range(n):
+        alpha[move(dart)] = move(g.alpha[dart])
+        band_of[move(dart)] = g.band_of_dart[dart]
+    return type(g)(
+        vertex_count=g.vertex_count,
+        alpha=tuple(alpha),
+        edges=tuple((move(t), move(h)) for t, h in g.edges),
+        band_of_dart=tuple(band_of),
+        free_loops=g.free_loops,
+    )
+
+
+def test_crossing_change_rotates_one_vertex():
+    """A crossing change at x rotates vertex x's slots by one, -1 at a
+    positive crossing and +1 at a negative one, and changes nothing else:
+    the ribbon surface, and so colorability, is the same on a whole flat
+    class, which is what lets verify_diagram trace one diagram per class."""
+    rng = random.Random(22)
+    for _ in range(150):
+        d = random_diagram(rng, rng.randrange(0, 9), components=rng.randrange(1, 4))
+        g = build_ald(d)
+        signs = d.signs()
+        for x in range(1, d.crossing_count + 1):
+            assert build_ald(crossing_change(d, x)) == _rotated(g, x, -signs[x]), (str(d), x)
+
+
 def test_coloring_json(trefoil_mirror):
     col = checkerboard_colorable(trefoil_mirror)
     blob = col.to_json()

@@ -159,8 +159,8 @@ def test_role_swaps_keep_alternatability(d, data):
     # make_alternating reads crossing ids and roles only, and a role swap
     # at the crossings of T is a crossing change there from its point of
     # view: S works for d exactly when S ^ T works for the variant.  So
-    # whether any S works, the verdict the memo keeps per signed word,
-    # depends on the word alone
+    # whether any S works depends on the word alone; signs it does not
+    # read at all, so verify_diagram keeps the verdict per unsigned word
     swapped = data.draw(st.sets(st.integers(min_value=1, max_value=max(d.crossing_count, 1))))
     variant = swap_roles(d, swapped)
     assert (make_alternating(variant) is None) == (make_alternating(d) is None)
@@ -172,8 +172,10 @@ def test_role_swaps_keep_alternatability(d, data):
 def test_records_match_memo_free_f():
     # the acceptance ranges in enumeration order, where the memo serves
     # all role variants of a signed word from its first state sum, with
-    # the congruence class, f(1) verdict and index spectrum of that sum
-    # and the word's alternatability verdict
+    # the congruence class, f(1) verdict and index spectrum of that sum,
+    # the unsigned word's alternatability verdict and the flat class's
+    # colorability verdict; the equivalence verdict of the oracle traces
+    # every diagram's own colouring
     ranges = [
         enumerate_diagrams(EnumSpec(4, max_components=1)),
         (d for d in enumerate_diagrams(EnumSpec(3, max_components=2)) if d.component_count == 2),

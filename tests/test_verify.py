@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
-from vknots.ald import build_ald, checkerboard_colorable, is_alternating, make_alternating
+from vknots.ald import _checkerboard_coloring, build_ald, checkerboard_colorable, is_alternating, make_alternating
 from vknots.bracket import TooManyCrossings, f_polynomial, index_spectrum
-from vknots.diagram import make_diagram, parse_gauss, random_diagram, serialize
+from vknots.diagram import crossing_change, make_diagram, parse_gauss, random_diagram, serialize
 from vknots.laurent import LaurentPoly
 from vknots import verify as verify_module
 from vknots.verify import (
@@ -67,6 +67,11 @@ def _word(d):
     return tuple(tuple((p.crossing, p.sign) for p in comp) for comp in d.components)
 
 
+def _unsigned_word(d):
+    # the unsigned word: each component's crossing sequence, signs and roles dropped
+    return tuple(tuple(p.crossing for p in comp) for comp in d.components)
+
+
 # sha256 of the sorted serialized codes, "\n\n"-joined, that these specs
 # yielded when each signed word's diagrams were still spread over the walk
 ENUMERATION_DIGESTS = {
@@ -81,11 +86,14 @@ ENUMERATION_DIGESTS = {
 
 @pytest.mark.parametrize("spec", list(ENUMERATION_DIGESTS), ids=["4-1", "3-2", "4-1-relabel", "4-2-alternating"])
 def test_enumeration_contract(spec):
-    """The yielded set is pinned, and each signed word's diagrams form one
-    consecutive run: the order the one-entry f memo relies on."""
+    """The yielded set is pinned, and each unsigned word's diagrams, and
+    within them each signed word's, form one consecutive run: the order
+    verify_diagram's memos rely on."""
     codes = []
     finished = set()
     current = None
+    finished_unsigned = set()
+    current_unsigned = None
     for d in enumerate_diagrams(spec):
         codes.append(serialize(d))
         word = _word(d)
@@ -93,6 +101,11 @@ def test_enumeration_contract(spec):
             assert word not in finished, serialize(d)
             finished.add(current)
             current = word
+        unsigned = _unsigned_word(d)
+        if unsigned != current_unsigned:
+            assert unsigned not in finished_unsigned, serialize(d)
+            finished_unsigned.add(current_unsigned)
+            current_unsigned = unsigned
     assert len(set(codes)) == len(codes)
     digest = hashlib.sha256("\n\n".join(sorted(codes)).encode()).hexdigest()
     assert digest == ENUMERATION_DIGESTS[spec]
@@ -230,16 +243,38 @@ def test_kernel_outputs_pinned():
 
 
 def test_f_memo_edges(monkeypatch):
-    """verify_diagram memoizes f, the index spectrum and the
-    alternatability verdict for the last diagram only, up to roles: a role
-    variant gets the previous objects, any other diagram fresh ones."""
+    """verify_diagram memoizes f and the index spectrum for the last state
+    sum only, up to roles: a role variant gets the previous objects, any
+    other diagram fresh ones.  The alternatability verdict is kept per
+    unsigned word, so sign and role variants reuse it, and the
+    colorability verdict per flat class, the diagrams related by crossing
+    changes, in a table of the current unsigned word only."""
     alternatability_runs = []
+    graphs = []
+    traces = []
+    keys = []
 
     def counted_make_alternating(diagram):
         alternatability_runs.append(diagram)
         return make_alternating(diagram)
 
+    def counted_build_ald(diagram):
+        graphs.append(diagram)
+        return build_ald(diagram)
+
+    def counted_coloring(g):
+        traces.append(g)
+        return _checkerboard_coloring(g)
+
+    def counted_flat_class(diagram):
+        keys.append(diagram)
+        return flat_class(diagram)
+
+    flat_class = verify_module._flat_class
     monkeypatch.setattr(verify_module, "make_alternating", counted_make_alternating)
+    monkeypatch.setattr(verify_module, "build_ald", counted_build_ald)
+    monkeypatch.setattr(verify_module, "_checkerboard_coloring", counted_coloring)
+    monkeypatch.setattr(verify_module, "_flat_class", counted_flat_class)
     d = parse_gauss("O1+U2-O3+\nU1+U3+O2-")
     record = verify_diagram(d)
     first = record.f
@@ -251,24 +286,37 @@ def test_f_memo_edges(monkeypatch):
     # the verdict parts that depend on f alone come with it
     assert (reused.congruence, reused.unit_eval_ok) == (record.congruence, record.unit_eval_ok)
     # so does the alternatability verdict, which roles do not change; the
-    # colouring is still traced from the variant's own ribbon graph
+    # variant is of another flat class, so its colouring is traced from
+    # its own ribbon graph
     assert alternatability_runs == [d]
+    assert graphs[-1] is variant and len(traces) == 2
     assert reused.alternating_equiv_ok == ((make_alternating(variant) is not None) == reused.colorable)
     assert reused.colorable == (checkerboard_colorable(variant) is not None)
     # f_polynomial keeps no memo: it sums the variant itself
     f_variant = f_polynomial(variant)
     assert f_variant is not first and f_variant == first
     others = [
-        parse_gauss("O1-U2-O3+\nU1-U3+O2-"),  # one sign changed, roles kept
-        parse_gauss("O1+U2-O3+\nU1+U3+O2-\n()"),  # a free loop added
-        parse_gauss("U1+U3+O2-\nO1+U2-O3+"),  # the components reordered
-        parse_gauss(TREFOIL),  # another word, with another spectrum
+        # one sign changed, roles kept: d's unsigned word
+        parse_gauss("O1-U2-O3+\nU1-U3+O2-"),
+        # a free loop added
+        parse_gauss("O1+U2-O3+\nU1+U3+O2-\n()"),
+        # the components reordered, which renumbering by first appearance
+        # turns into a sign and role variant of d's unsigned word
+        parse_gauss("U1+U3+O2-\nO1+U2-O3+"),
+        # another word, with another spectrum
+        parse_gauss(TREFOIL),
     ]
-    for other in others:
+    for other, same_unsigned_word in zip(others, (True, False, True, False)):
         rec_d = verify_diagram(d)
         alternatability_runs.clear()
         rec_other = verify_diagram(other)
-        assert alternatability_runs == [other]
+        # a diagram of d's unsigned word gets its alternatability verdict,
+        # every other diagram its own
+        assert alternatability_runs == ([] if same_unsigned_word else [other])
+        assert (_unsigned_word(other) == _unsigned_word(d)) == same_unsigned_word
+        assert rec_other.alternating_equiv_ok == (
+            (make_alternating(other) is not None) == (checkerboard_colorable(other) is not None)
+        )
         assert rec_other.f is not rec_d.f
         assert rec_other.f == memo_free_f(other)
         assert rec_other.index_spectrum is not rec_d.index_spectrum
@@ -280,15 +328,106 @@ def test_f_memo_edges(monkeypatch):
     with pytest.raises(TooManyCrossings):
         f_polynomial(variant, max_crossings=2)
 
+    # a crossing change keeps the flat class: a class found not colorable
+    # is not traced again, and a state-summed signed word whose class is
+    # known builds no ribbon graph at all
+    v = parse_gauss(VIRTUAL_TREFOIL_MIRROR)
+    v_roles = swap_roles(v, {2})
+    changed = crossing_change(v, 1)
+    changed_roles = swap_roles(changed, {2})
+    for diagram in (v, v_roles):
+        verify_diagram(diagram)
+    alternatability_runs.clear()
+    graphs.clear()
+    traces.clear()
+    rec_changed = verify_diagram(changed)  # a new signed word: its own state sum
+    assert graphs == [changed] and traces == []
+    rec_changed_roles = verify_diagram(changed_roles)
+    assert graphs == [changed] and traces == [] and alternatability_runs == []
+    for diagram, rec in ((changed, rec_changed), (changed_roles, rec_changed_roles)):
+        assert checkerboard_colorable(diagram) is None and not rec.colorable and rec.ok
+        assert rec.f == memo_free_f(diagram)
+    # a colorable class is reused too, but each of its diagrams gets the
+    # witness of its own ribbon graph
+    t = parse_gauss(TREFOIL)
+    rec_t = verify_diagram(t)
+    alternatability_runs.clear()
+    graphs.clear()
+    traces.clear()
+    t_changed = crossing_change(t, 2)
+    rec_t_changed = verify_diagram(t_changed)
+    assert alternatability_runs == [] and graphs == [t_changed] and len(traces) == 1
+    assert rec_t_changed.coloring is not rec_t.coloring
+    assert rec_t_changed.coloring.to_json() == checkerboard_colorable(t_changed).to_json()
+    assert rec_t_changed.ok and rec_t_changed.alternating_equiv_ok
+    # a new unsigned word gets fresh verdicts in a fresh table
+    traces.clear()
+    assert not verify_diagram(v).colorable
+    assert alternatability_runs == [v] and len(traces) == 1
+    assert len(verify_module._word[2]) == 1
+    # both limits are checked on a memo hit before any table is read
+    verify_diagram(changed)
+    keys.clear()
+    with pytest.raises(TooManyCrossings):
+        verify_diagram(changed_roles, max_crossings=1)
+    with pytest.raises(ValueError):
+        verify_diagram(changed_roles, max_crossings=-1)
+    assert keys == []
+
+
+def test_records_do_not_depend_on_order():
+    """Every record of the acceptance streams equals the record of the same
+    diagram verified in a seeded shuffled order, where consecutive
+    diagrams seldom share a signed word, an unsigned word or a flat class,
+    so nearly every call misses every memo."""
+    for spec in (EnumSpec(4, max_components=1), EnumSpec(3, max_components=2)):
+        diagrams = list(enumerate_diagrams(spec))
+        in_order = [verify_diagram(d) for d in diagrams]
+        order = list(range(len(diagrams)))
+        random.Random(11).shuffle(order)
+        shuffled = {i: verify_diagram(diagrams[i]) for i in order}
+        for i, record in enumerate(in_order):
+            assert shuffled[i] == record, serialize(diagrams[i])
+
+
+def test_sweep_level_counts(monkeypatch):
+    """One c <= 4 knot pass runs make_alternating once per unsigned word,
+    a state sum once per signed word, a colorability trace once per flat
+    class plus once per further colorable diagram, and builds a ribbon
+    graph only for those: an order that splits an unsigned word, or a
+    memo that stops serving, changes these counts."""
+    counts = dict.fromkeys(("make_alternating", "_state_histogram", "_checkerboard_coloring", "build_ald"), 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+    summary = sweep(EnumSpec(4, max_components=1))
+    assert (summary.total, summary.colorable, summary.alternating, summary.state_sums) == (27893, 6565, 885, 1815)
+    assert counts == {
+        "make_alternating": 125,
+        "_state_histogram": 1815,
+        "_checkerboard_coloring": 7937,
+        "build_ald": 9218,
+    }
+
 
 def test_f_memo_under_threads():
-    # the memo entry is one (diagram, f, congruence, f(1) verdict, index
-    # spectrum, alternatability) tuple replaced whole, so threads racing on
-    # it, more of them than cores, each get their own diagram's f, verdict
-    # parts and spectrum
+    # each memo entry, (diagram, f, congruence, f(1) verdict, index
+    # spectrum) per signed word and (diagram, alternatability, flat-class
+    # table) per unsigned word, is replaced whole, and a table only ever
+    # gains true verdicts of its own word's flat classes, so threads racing
+    # on them, more of them than cores, each get their own diagram's f,
+    # verdict parts and spectrum
     rng = random.Random(5)
     diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
     diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
+    diagrams += [crossing_change(d, 1) for d in diagrams if d.crossing_count]
     expected = [memo_free_verdict_parts(d) for d in diagrams]
     wrong = []
 
