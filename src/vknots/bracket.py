@@ -36,7 +36,7 @@ incoming end to the other strand's outgoing end, at a negative one
 in-to-in and out-to-out, whichever strand is over; the bands are
 numbered in arc order, which roles do not change, so every role
 assignment of a word gives the same splice rows, histograms and writhe
-(``vknots.verify`` keeps its one-entry memo on this).  Nothing in this
+(``vknots.verify`` memoizes f per signed word on this).  Nothing in this
 module keeps a memo: ``f_polynomial``, ``bracket``, ``bracket_parallel``,
 ``index_spectrum`` and the skein checks sum every diagram they are given.
 

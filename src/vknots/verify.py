@@ -13,14 +13,16 @@ diagrams whose f-polynomial is not of alternating form, and fuzz move
 invariance.
 
 :func:`verify_diagram` computes each verdict once, at the level it
-depends on, and keeps the last value of each level:
+depends on, in one memo entry per unsigned word that the next unsigned
+word replaces:
 
 - Per signed word (component lengths, and the crossing id and sign at
   each position): one (#B, loops) state histogram, turned into f, its
   congruence class, the f(1) verdict and the index spectrum.  The
   histogram does not depend on which passage of a crossing is over (see
-  :mod:`vknots.bracket`); the last diagram whose state sum ran is kept
-  with those four, f object included.
+  :mod:`vknots.bracket`).  The four, f object included, are kept in a
+  table of the current unsigned word's signed words, at most ``2^c`` of
+  them, keyed by the sign at each position.
 - Per unsigned word (the signed word without its signs): whether
   crossing changes make the diagram alternating (``make_alternating(d)
   is not None``).  ``make_alternating`` reads only crossing ids and
@@ -39,14 +41,13 @@ depends on, and keeps the last value of each level:
 - Per diagram: whether it is alternating, and the record.
 
 :func:`enumerate_diagrams` yields an unsigned word's diagrams one after
-another, sign vector by sign vector and each sign vector's role variants
-in turn, so :func:`sweep` runs one state sum per signed word, one
+another, so :func:`sweep` runs one state sum per signed word, one
 ``make_alternating`` per unsigned word and one colorability trace per
 flat class and per colorable diagram.  ``alternating_equiv_ok`` still
 compares two independent computations on every flat class: colorability
 traced from a ribbon graph against the crossing-change search of
 ``make_alternating``.  The public functions of ``bracket`` and ``ald``
-keep no memo, and the tests use them as the memos' oracle.
+keep no memo, and the tests use them as the memo's oracle.
 """
 
 from __future__ import annotations
@@ -225,13 +226,16 @@ def enumerate_diagrams(spec: EnumSpec) -> Iterator[Diagram]:
     and the crossing id at each position) are yielded consecutively, and
     within that run so are diagrams that differ only in which passage of
     each crossing is over, their signed word (the crossing id and sign at
-    each position) being the same.  Diagrams of one signed word have
-    equal f-polynomials (see :mod:`vknots.bracket`), and diagrams of one
-    unsigned word one alternatability verdict and at most ``2^c`` flat
-    classes, so a caller verifying the stream in order, such as
-    :func:`sweep`, runs one state sum per signed word, one
+    each position) being the same.  Diagrams of one unsigned word have
+    one alternatability verdict, at most ``2^c`` signed words and at most
+    ``2^c`` flat classes, and diagrams of one signed word equal
+    f-polynomials (see :mod:`vknots.bracket`), so a caller verifying the
+    stream in order runs one state sum per signed word, one
     ``make_alternating`` per unsigned word and one colorability trace per
-    flat class and per colorable diagram.
+    flat class and per colorable diagram: :func:`verify_diagram` needs
+    only the unsigned-word runs for this.  :func:`sweep`, which counts a
+    state sum at each record whose f object is not the previous
+    record's, also needs the signed-word runs.
     """
     spec.validate()
     for c in range(spec.max_crossings + 1):
@@ -290,21 +294,6 @@ class VerificationRecord:
         }
 
 
-def _same_word(d: Diagram, e: Diagram) -> bool:
-    """Whether d and e have one signed word: the same component lengths
-    and the same crossing id and sign at each position, whatever the
-    roles.  f depends on the word alone (see :mod:`vknots.bracket`)."""
-    if len(d.components) != len(e.components):
-        return False
-    for comp_d, comp_e in zip(d.components, e.components):
-        if len(comp_d) != len(comp_e):
-            return False
-        for p, q in zip(comp_d, comp_e):
-            if p.crossing != q.crossing or p.sign != q.sign:
-                return False
-    return True
-
-
 def _flat_class(d: Diagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The key of d's flat class, the diagrams related to d by crossing
     changes: ``(crossing, sign if over else -sign)`` at each position.  A
@@ -314,14 +303,15 @@ def _flat_class(d: Diagram) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple([tuple([(x, s if o else -s) for x, o, s in comp]) for comp in d.components])
 
 
-# The memos of verify_diagram.  _word: the last unsigned word it met, as
-# the crossing ids of each component, whether crossing changes make that
-# word alternating, and a table of the colorability verdicts of the word's
-# flat classes met so far, keyed by _flat_class (at most 2^c of them).
-# _last: the last diagram whose state sum it ran, with its f, congruence
-# class, f(1) verdict and sorted index spectrum.
-_word: Optional[tuple[tuple[tuple[int, ...], ...], bool, dict[tuple, bool]]] = None
-_last: Optional[tuple[Diagram, LaurentPoly, CongruenceClass, bool, tuple[int, ...]]] = None
+# The memo of verify_diagram: the last unsigned word it met, as the
+# crossing ids of each component, whether crossing changes make that word
+# alternating, a table of the colorability verdicts of the word's flat
+# classes met so far, keyed by _flat_class, and a table of the invariants
+# of its signed words summed so far (f, congruence class, f(1) verdict and
+# sorted index spectrum), keyed by the sign at each position, which fixes
+# the signed word once the unsigned word is fixed.  Each table holds at
+# most 2^c entries.
+_word: Optional[tuple[tuple[tuple[int, ...], ...], bool, dict[tuple, bool], dict[tuple, tuple]]] = None
 
 
 def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> VerificationRecord:
@@ -329,12 +319,12 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     state-sum size limit of :func:`f_polynomial`.  A diagram without
     components raises EmptyDiagram, a negative ``max_crossings``
     ValueError and a diagram over the limit TooManyCrossings, all before
-    any memo is read.  A
-    diagram with the signed word of the previous state sum's diagram
-    reuses that sum's results, one with the unsigned word of the previous
-    call's diagram reuses its alternatability verdict, and one of a flat
-    class already found not colorable skips its ribbon graph and its
-    colorability check (see the module docstring).  Otherwise the state
+    any memo is read.  A diagram with the unsigned word of the previous
+    call's diagram reuses that word's alternatability verdict, and the
+    state sum results of its signed word and the colorability verdict of
+    its flat class where the word's tables hold them; a diagram of a flat
+    class found not colorable skips its ribbon graph and its colorability
+    check (see the module docstring).  Otherwise the state
     sum and the colorability check share one ribbon graph of ``d``, and
     a colorable diagram always gets the coloring of its own ribbon graph.
 
@@ -347,29 +337,31 @@ def verify_diagram(d: Diagram, max_crossings: Optional[int] = None) -> Verificat
     if not n:
         raise EmptyDiagram("a diagram without components is not a link")
     _check_size(d, max_crossings)
-    # each memo entry is read once and replaced by one assignment, so a
-    # caller in another thread sees either the old or the new entry.  A
-    # flat class is stored only in the table of its own unsigned word, and
-    # its key fixes that word, so a table hit also means the word matches
-    global _word, _last
+    # the memo entry is read once and replaced by one assignment, and each
+    # table entry is written by one assignment, so a caller in another
+    # thread sees either the old or the new value; two racing callers may
+    # sum one signed word twice, with equal results.  A flat class is
+    # stored only in the table of its own unsigned word, and its key fixes
+    # that word, so a table hit also means the word matches; within the
+    # word, the signs fix the signed word
+    global _word
     word = _word
     flat = _flat_class(d)
     known = None if word is None else word[2].get(flat)
     if known is None:
         unsigned = tuple([tuple([x for x, _ in comp]) for comp in flat])
         if word is None or word[0] != unsigned:
-            word = _word = (unsigned, make_alternating(d) is not None, {})
+            word = _word = (unsigned, make_alternating(d) is not None, {}, {})
     alternatable = word[1]
     g = None
-    last = _last
-    if last is not None and _same_word(last[0], d):
-        _, f, congruence, unit_eval_ok, spectrum = last
-    else:
+    signs = tuple([p.sign for comp in d.components for p in comp])
+    invariants = word[3].get(signs)
+    if invariants is None:
         g = build_ald(d)
         f, spectrum = _word_invariants(d, _state_histogram(g))
-        congruence = f.congruence_class_mod4()
         unit_eval_ok = f.evaluate_at_one() == (-2) ** (n - 1)
-        _last = (d, f, congruence, unit_eval_ok, spectrum)
+        invariants = word[3][signs] = (f, f.congruence_class_mod4(), unit_eval_ok, spectrum)
+    f, congruence, unit_eval_ok, spectrum = invariants
     if known is False:
         coloring = None
     else:

@@ -5,9 +5,9 @@ presentation choices it quotients out.
 
 Each property compares two computations on related diagrams, so it
 checks the state sum and the colorability test without an oracle.  The
-role-swap properties are the proof obligation of the one-entry f memo:
-f depends only on the signed word, whatever passage of a crossing is
-over.
+role-swap properties are the proof obligation of the per-signed-word f
+memo: f depends only on the signed word, whatever passage of a crossing
+is over.
 """
 
 import random

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+from itertools import groupby
 
 import pytest
 
@@ -88,7 +89,8 @@ ENUMERATION_DIGESTS = {
 def test_enumeration_contract(spec):
     """The yielded set is pinned, and each unsigned word's diagrams, and
     within them each signed word's, form one consecutive run: the order
-    verify_diagram's memos rely on."""
+    verify_diagram's memo (unsigned words) and sweep's state-sum count
+    (signed words) rely on."""
     codes = []
     finished = set()
     current = None
@@ -243,13 +245,16 @@ def test_kernel_outputs_pinned():
 
 
 def test_f_memo_edges(monkeypatch):
-    """verify_diagram memoizes f and the index spectrum for the last state
-    sum only, up to roles: a role variant gets the previous objects, any
-    other diagram fresh ones.  The alternatability verdict is kept per
-    unsigned word, so sign and role variants reuse it, and the
-    colorability verdict per flat class, the diagrams related by crossing
-    changes, in a table of the current unsigned word only."""
+    """verify_diagram memoizes f and the index spectrum per signed word, in
+    a table of the current unsigned word only: a diagram whose signed
+    word was summed since the memo took its unsigned word, such as a role
+    variant, gets that sum's objects, any other diagram fresh ones.  The
+    alternatability verdict is kept per unsigned word, so sign and role
+    variants reuse it, and the colorability verdict per flat class, the
+    diagrams related by crossing changes, in another table of the current
+    unsigned word."""
     alternatability_runs = []
+    sums = []
     graphs = []
     traces = []
     keys = []
@@ -257,6 +262,10 @@ def test_f_memo_edges(monkeypatch):
     def counted_make_alternating(diagram):
         alternatability_runs.append(diagram)
         return make_alternating(diagram)
+
+    def counted_state_histogram(g):
+        sums.append(g)
+        return state_histogram(g)
 
     def counted_build_ald(diagram):
         graphs.append(diagram)
@@ -271,7 +280,9 @@ def test_f_memo_edges(monkeypatch):
         return flat_class(diagram)
 
     flat_class = verify_module._flat_class
+    state_histogram = verify_module._state_histogram
     monkeypatch.setattr(verify_module, "make_alternating", counted_make_alternating)
+    monkeypatch.setattr(verify_module, "_state_histogram", counted_state_histogram)
     monkeypatch.setattr(verify_module, "build_ald", counted_build_ald)
     monkeypatch.setattr(verify_module, "_checkerboard_coloring", counted_coloring)
     monkeypatch.setattr(verify_module, "_flat_class", counted_flat_class)
@@ -321,6 +332,12 @@ def test_f_memo_edges(monkeypatch):
         assert rec_other.f == memo_free_f(other)
         assert rec_other.index_spectrum is not rec_d.index_spectrum
         assert rec_other.index_spectrum == tuple(sorted(index_spectrum(other)))
+        if same_unsigned_word:
+            # d's signed word is still in the table: back at d, no state
+            # sum runs and d gets its earlier objects
+            sums.clear()
+            rec_back = verify_diagram(d)
+            assert sums == [] and rec_back.f is rec_d.f and rec_back.index_spectrum is rec_d.index_spectrum
     # the size limit is checked before the memo is read
     verify_diagram(d)
     with pytest.raises(TooManyCrossings):
@@ -365,6 +382,7 @@ def test_f_memo_edges(monkeypatch):
     assert not verify_diagram(v).colorable
     assert alternatability_runs == [v] and len(traces) == 1
     assert len(verify_module._word[2]) == 1
+    assert len(verify_module._word[3]) == 1
     # both limits are checked on a memo hit before any table is read
     verify_diagram(changed)
     keys.clear()
@@ -375,28 +393,10 @@ def test_f_memo_edges(monkeypatch):
     assert keys == []
 
 
-def test_records_do_not_depend_on_order():
-    """Every record of the acceptance streams equals the record of the same
-    diagram verified in a seeded shuffled order, where consecutive
-    diagrams seldom share a signed word, an unsigned word or a flat class,
-    so nearly every call misses every memo."""
-    for spec in (EnumSpec(4, max_components=1), EnumSpec(3, max_components=2)):
-        diagrams = list(enumerate_diagrams(spec))
-        in_order = [verify_diagram(d) for d in diagrams]
-        order = list(range(len(diagrams)))
-        random.Random(11).shuffle(order)
-        shuffled = {i: verify_diagram(diagrams[i]) for i in order}
-        for i, record in enumerate(in_order):
-            assert shuffled[i] == record, serialize(diagrams[i])
-
-
-def test_sweep_level_counts(monkeypatch):
-    """One c <= 4 knot pass runs make_alternating once per unsigned word,
-    a state sum once per signed word, a colorability trace once per flat
-    class plus once per further colorable diagram, and builds a ribbon
-    graph only for those: an order that splits an unsigned word, or a
-    memo that stops serving, changes these counts."""
-    counts = dict.fromkeys(("make_alternating", "_state_histogram", "_checkerboard_coloring", "build_ald"), 0)
+def _count_calls(monkeypatch, *names):
+    """Patch the named functions of verify into counters; returns the
+    counts by name."""
+    counts = dict.fromkeys(names, 0)
 
     def counted(name, function):
         def wrapper(*args):
@@ -405,8 +405,48 @@ def test_sweep_level_counts(monkeypatch):
 
         return wrapper
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(verify_module, name, counted(name, getattr(verify_module, name)))
+    return counts
+
+
+def test_records_do_not_depend_on_order(monkeypatch):
+    """Every record of the acceptance streams equals the record of the same
+    diagram verified in a seeded shuffled order, where consecutive
+    diagrams seldom share a signed word, an unsigned word or a flat class,
+    so nearly every call misses every memo.  On the (4,1) stream, an order
+    that shuffles the diagrams within each unsigned word's run, and keeps
+    the runs in order, gives the same records from as many state sums and
+    ``make_alternating`` runs as the enumeration order: the memo holds
+    every signed word of its unsigned word, not only the last one."""
+    for spec in (EnumSpec(4, max_components=1), EnumSpec(3, max_components=2)):
+        diagrams = list(enumerate_diagrams(spec))
+        in_order = [verify_diagram(d) for d in diagrams]
+        order = list(range(len(diagrams)))
+        random.Random(11).shuffle(order)
+        shuffled = {i: verify_diagram(diagrams[i]) for i in order}
+        for i, record in enumerate(in_order):
+            assert shuffled[i] == record, serialize(diagrams[i])
+        if spec.max_components == 1:
+            knots, knot_records = diagrams, in_order
+
+    counts = _count_calls(monkeypatch, "make_alternating", "_state_histogram")
+    rng = random.Random(11)
+    for _, run in groupby(range(len(knots)), key=lambda i: _unsigned_word(knots[i])):
+        run = list(run)
+        rng.shuffle(run)
+        for i in run:
+            assert verify_diagram(knots[i]) == knot_records[i], serialize(knots[i])
+    assert counts == {"make_alternating": 125, "_state_histogram": 1815}
+
+
+def test_sweep_level_counts(monkeypatch):
+    """One c <= 4 knot pass runs make_alternating once per unsigned word,
+    a state sum once per signed word, a colorability trace once per flat
+    class plus once per further colorable diagram, and builds a ribbon
+    graph only for those: an order that splits an unsigned word, or a
+    memo that stops serving, changes these counts."""
+    counts = _count_calls(monkeypatch, "make_alternating", "_state_histogram", "_checkerboard_coloring", "build_ald")
     summary = sweep(EnumSpec(4, max_components=1))
     assert (summary.total, summary.colorable, summary.alternating, summary.state_sums) == (27893, 6565, 885, 1815)
     assert counts == {
@@ -418,12 +458,13 @@ def test_sweep_level_counts(monkeypatch):
 
 
 def test_f_memo_under_threads():
-    # each memo entry, (diagram, f, congruence, f(1) verdict, index
-    # spectrum) per signed word and (diagram, alternatability, flat-class
-    # table) per unsigned word, is replaced whole, and a table only ever
-    # gains true verdicts of its own word's flat classes, so threads racing
-    # on them, more of them than cores, each get their own diagram's f,
-    # verdict parts and spectrum
+    # the memo entry, (unsigned word, alternatability, flat-class table,
+    # signed-word table) per unsigned word, is replaced whole, and its
+    # tables only ever gain true entries of its own word, each written by
+    # one assignment: the colorability verdicts of its flat classes and
+    # the (f, congruence, f(1) verdict, index spectrum) of its signed
+    # words.  So threads racing on it, more of them than cores, each get
+    # their own diagram's f, verdict parts and spectrum
     rng = random.Random(5)
     diagrams = [random_diagram(rng, rng.randrange(0, 6), components=rng.randrange(1, 3)) for _ in range(12)]
     diagrams += [swap_roles(d, {1}) for d in diagrams if d.crossing_count]
