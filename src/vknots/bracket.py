@@ -125,7 +125,7 @@ def _splice_rows(g: RibbonGraph) -> list[tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _find(parent: list[int], a: int) -> int:
-    """The root of arc a in a union-find forest, halving the path to it."""
+    """The root of a in a union-find forest, halving the path to it."""
     while parent[a] != a:
         parent[a] = parent[parent[a]]
         a = parent[a]

@@ -133,16 +133,10 @@ def _passage(crossing: int, over: bool, sign: int) -> Passage:
 
 
 def _normalize_ids(components: Iterable[Sequence[Passage]]) -> tuple[tuple[Passage, ...], ...]:
-    relabel: dict[int, int] = {}
-    out = []
-    for comp in components:
-        new = []
-        for p in comp:
-            if p.crossing not in relabel:
-                relabel[p.crossing] = len(relabel) + 1
-            new.append(_passage(relabel[p.crossing], p.over, p.sign))
-        out.append(tuple(new))
-    return tuple(out)
+    # ``_encode`` numbers the ids; its (role, id, sign) triples become passages
+    return tuple(
+        tuple(_passage(x, not role, sign) for role, x, sign in comp) for comp in _encode(components)
+    )
 
 
 def _validate(components: tuple[tuple[Passage, ...], ...]) -> None:
@@ -494,22 +488,17 @@ R2_ADD = "R2-add"
 R2_REMOVE = "R2-remove"
 R3 = "R3"
 
-# Admissible R3 configurations, derived from the local triangle picture.
-# Strand 1 passes over both r and q, strand 2 is over at p and under at r,
-# strand 3 is under at both p and q.  For each arrangement of the pair
-# orders (s1 sees (r,q) or (q,r), etc.) exactly two sign triples
-# (sign r, sign q, sign p) occur, one for each mirror image of the
-# triangle.  Keys: (s1_sees_r_first, s2_sees_p_first, s3_sees_p_first).
-_R3_SIGNS: dict[tuple[bool, bool, bool], tuple[tuple[int, int, int], ...]] = {
-    (True, True, True): ((1, 1, -1), (-1, -1, 1)),
-    (False, True, True): ((-1, -1, -1), (1, 1, 1)),
-    (True, False, True): ((-1, 1, 1), (1, -1, -1)),
-    (True, True, False): ((1, -1, 1), (-1, 1, -1)),
-    (False, False, True): ((1, -1, 1), (-1, 1, -1)),
-    (False, True, False): ((-1, 1, 1), (1, -1, -1)),
-    (True, False, False): ((-1, -1, -1), (1, 1, 1)),
-    (False, False, False): ((1, 1, -1), (-1, -1, 1)),
-}
+def _r3_admissible(key: tuple[bool, bool, bool], r: int, q: int, p: int) -> bool:
+    """Whether signs (r, q, p) make an R3 triangle, for the pair orders
+    ``key`` = (s1 meets r first, s2 meets p first, s3 meets p first).
+    Strand 1 passes over both r and q, strand 2 is over at p and under at
+    r, strand 3 is under at both p and q.  When every strand meets its
+    crossings in the "first" order, the admissible signs are +-(1, 1, -1),
+    one triple for each mirror image of the triangle; reversing the order
+    in which one strand meets its two crossings negates both of their
+    signs."""
+    s1, s2, s3 = key
+    return (r == q) == (s2 == s3) and (q == p) == (s1 != s2)
 
 
 def _consecutive_pairs(d: Diagram) -> list[tuple[int, int, Passage, Passage]]:
@@ -584,7 +573,7 @@ def _r3_sites(d: Diagram) -> list[tuple]:
                 if len(positions) != 6:
                     continue
                 key = (a1.crossing == r, a2.crossing == p, a3.crossing == p)
-                if (signs[r], signs[q], signs[p]) in _R3_SIGNS[key]:
+                if _r3_admissible(key, signs[r], signs[q], signs[p]):
                     sites.append(((c1, j1), (c2, j2), (c3, j3)))
     return sites
 
@@ -741,10 +730,11 @@ def random_move(d: Diagram, rng: random.Random) -> tuple[MoveKind, Diagram]:
 # ---------------------------------------------------------------------------
 # canonical form and random generation
 
-def _encode(comps: Sequence[Sequence[Passage]]) -> tuple:
+def _encode(comps: Iterable[Sequence[Passage]]) -> tuple:
     """Components as (role, id, sign) tuples, role 0 for over, with ids
-    renumbered by first appearance; a diagram's own components encode to
-    its canonical form exactly when it is its orbit's representative."""
+    renumbered by first appearance: the one numbering of the package.  A
+    diagram's own components encode to its canonical form exactly when it
+    is its orbit's representative."""
     relabel: dict[int, int] = {}
     out = []
     for comp in comps:

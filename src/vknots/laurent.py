@@ -134,29 +134,12 @@ class LaurentPoly:
         sign at odd i.
 
         Absent intermediate terms are skipped: the sign conditions apply
-        only to pairs of nonzero coefficients.
+        only to pairs of nonzero coefficients.  So all exponents agree mod
+        4, and (c_i > 0) xor (i odd) is the same for every term.
         """
-        if not self._terms:
-            return True
-        if self.congruence_class_mod4() == "mixed":
-            return False
-        alpha = min(self._terms)
-        even_sign = 0
-        odd_sign = 0
-        for e, c in self._terms.items():
-            i = (e - alpha) // 4
-            s = 1 if c > 0 else -1
-            if i % 2 == 0:
-                if even_sign and s != even_sign:
-                    return False
-                even_sign = s
-            else:
-                if odd_sign and s != odd_sign:
-                    return False
-                odd_sign = s
-        if even_sign and odd_sign and even_sign == odd_sign:
-            return False
-        return True
+        alpha = min(self._terms, default=0)
+        signs = {(c > 0) ^ ((e - alpha) // 4 % 2) for e, c in self._terms.items()}
+        return self.congruence_class_mod4() != "mixed" and len(signs) <= 1
 
     def coefficient(self, exp: int) -> int:
         return self._terms.get(exp, 0)

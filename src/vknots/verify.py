@@ -60,7 +60,7 @@ from itertools import accumulate, product
 from typing import Iterator, Optional
 
 from .ald import Coloring, _checkerboard_coloring, build_ald, is_alternating, make_alternating
-from .bracket import _check_size, _state_histogram, _word_invariants, f_polynomial
+from .bracket import _check_size, _find, _state_histogram, _word_invariants, f_polynomial
 from .diagram import (
     Diagram,
     DiagramError,
@@ -444,12 +444,7 @@ def _non_split(d: Diagram) -> bool:
     first_seen: dict[int, int] = {}
     for ci, comp in enumerate(d.components):
         for p in comp:
-            a, b = ci, first_seen.setdefault(p.crossing, ci)
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            root[a] = b
+            root[_find(root, ci)] = _find(root, first_seen.setdefault(p.crossing, ci))
     return sum(root[ci] == ci for ci in range(d.component_count)) == 1
 
 

@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from vknots import LaurentPoly, Passage, bracket, index_spectrum, make_diagram, parse_gauss, writhe
 from vknots.ald import BLACK, WHITE, checkerboard_colorable, make_alternating
+from vknots.bracket import _splice_rows
 
 # Every run draws the same property examples, so a property failure
 # reproduces from a plain rerun.  Example counts and deadlines are those
@@ -100,6 +101,96 @@ def oracle_two_coloring(regions) -> list[str] | None:
                 elif colors[s] != other:
                     return None
     return colors
+
+
+def contraction_histograms(g, open_x=None):
+    """The (#B, loops) -> count histogram over all states of g, or with
+    crossing open_x + 1 left open the pair of its A and its B histogram,
+    summed by a frontier contraction that shares no code with ``_walk``.
+
+    Crossings are added one at a time, each next the one that shares the
+    most bands with those already added, the open crossing last.  A
+    partial state is keyed by a tuple over bands: the partner of each open
+    band (one end added, the other not), that is the open band at the far
+    end of the path through added crossings, or -1.  Each key holds one
+    packed int whose field at bit (#B * L + loops) * W counts its states,
+    with L = arcs + free + 1 and W = c + 1 bits, room for 2^c.  A splice
+    pair joins two band ends at the added crossing: when each is the
+    other's path end, a loop closes, and otherwise their far ends become
+    partners."""
+    rows = _splice_rows(g)
+    c, n, free = g.vertex_count, g.edge_count, g.free_loops
+    width, loop_span = c + 1, n + free + 1
+    # the vertex of each band's tail and head
+    ends = [(t // 4, h // 4) for t, h in g.edges]
+    bands_at = [set(g.band_of_dart[4 * v:4 * v + 4]) for v in range(c)]
+    order, done = [], set()
+    rest = [v for v in range(c) if v != open_x]
+    while rest:
+        v = max(rest, key=lambda v: len(bands_at[v] & done))
+        rest.remove(v)
+        order.append(v)
+        done |= bands_at[v]
+    if open_x is not None:
+        order.append(open_x)
+    added = [False] * c
+    states = {(-1,) * n: 1 << free * width}
+    for v in order:
+        def far_end(band):
+            # the end of an open band at a vertex not yet added
+            return (band, 1 if added[ends[band][0]] else 0)
+
+        sides = []
+        for splice, pairs in enumerate(rows[v]):
+            nxt: dict[tuple[int, ...], int] = {}
+            for key, packed in states.items():
+                mate: dict[tuple[int, int], tuple[int, int]] = {}
+
+                def mate_of(t):
+                    if t in mate:
+                        return mate[t]
+                    band, e = t
+                    if key[band] >= 0:
+                        return far_end(key[band])
+                    return (band, 1 - e)
+
+                free_at_v = {b: [e for e in (0, 1) if ends[b][e] == v] for b in bands_at[v]}
+                closed = 0
+                for a, b in pairs:
+                    p, q = (a, free_at_v[a].pop()), (b, free_at_v[b].pop())
+                    mp, mq = mate_of(p), mate_of(q)
+                    if mp == q:
+                        closed += 1
+                    else:
+                        mate[mp], mate[mq] = mq, mp
+                new = list(key)
+                for b in bands_at[v]:
+                    new[b] = -1
+                for (band, e), (other, _) in mate.items():
+                    if ends[band][e] != v and not added[ends[band][e]]:
+                        new[band] = other
+                shift = (closed + (splice if v != open_x else 0) * loop_span) * width
+                new_key = tuple(new)
+                nxt[new_key] = nxt.get(new_key, 0) + (packed << shift)
+            sides.append(nxt)
+        added[v] = True
+        states = {}
+        for side in sides:
+            for key, packed in side.items():
+                states[key] = states.get(key, 0) + packed
+
+    def unpack(packed):
+        hist, field, mask = {}, 0, (1 << width) - 1
+        while packed:
+            if packed & mask:
+                hist[divmod(field, loop_span)] = packed & mask
+            packed >>= width
+            field += 1
+        return hist
+
+    if open_x is not None:
+        return tuple(unpack(sum(side.values())) for side in sides)
+    return unpack(sum(states.values()))
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ from vknots.bracket import (
     State,
     TooManyCrossings,
     _open_histograms,
+    _state_histogram,
     bracket,
     bracket_parallel,
     f_polynomial,
@@ -36,7 +37,7 @@ from vknots.diagram import (
 from vknots.laurent import LOOP_FACTOR, LaurentPoly
 from vknots.verify import verify_diagram
 
-from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL
+from conftest import KINK_PLUS, TREFOIL, VIRTUAL_TREFOIL, contraction_histograms
 
 B = importlib.import_module("vknots.bracket")  # the package's ``bracket`` is the function
 
@@ -246,6 +247,25 @@ def test_open_histograms_match_walk_oracle():
             assert _open_histograms(g, x - 1) == expected
             checked += 1
     assert checked > 400
+
+
+def test_histograms_match_contraction_oracle_above_eight_crossings():
+    """Above c = 8, where enumerating states is too slow to be an oracle,
+    the full histogram and the open ones at every crossing equal those of
+    a frontier contraction, which shares the splice rows but no summation
+    code with the depth-first walk.  Some diagrams carry a crossing-free
+    component."""
+    rng = random.Random(29)
+    diagrams = [random_diagram(rng, rng.randrange(9, 15), components=rng.randrange(1, 4)) for _ in range(18)]
+    diagrams += [
+        make_diagram(random_diagram(rng, c, components=2).components + ((),)) for c in (9, 12)
+    ]
+    assert sum(not comp for d in diagrams for comp in d.components) >= 2
+    for d in diagrams:
+        g = build_ald(d)
+        assert _state_histogram(g) == contraction_histograms(g), str(d)
+        for x in range(g.vertex_count):
+            assert _open_histograms(g, x) == contraction_histograms(g, x), (str(d), x)
 
 
 def test_bracket_skein_relation_at_every_crossing():

@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -72,6 +74,49 @@ def test_alternating_form():
     assert LaurentPoly({4: 1, 12: 1, 16: -1}).is_alternating_form()
     assert LaurentPoly({-8: 1, -4: -1, 0: 1, 4: -1, 8: 1}).is_alternating_form()
     assert not LaurentPoly({0: 1, 3: 1}).is_alternating_form()
+
+
+def reference_is_alternating_form(poly: LaurentPoly) -> bool:
+    """The alternating-form test with one sign tracker for the even and
+    one for the odd indices i = (e - min e) / 4."""
+    terms = dict(poly.terms())
+    if not terms:
+        return True
+    if poly.congruence_class_mod4() == "mixed":
+        return False
+    alpha = min(terms)
+    even_sign = 0
+    odd_sign = 0
+    for e, c in terms.items():
+        i = (e - alpha) // 4
+        s = 1 if c > 0 else -1
+        if i % 2 == 0:
+            if even_sign and s != even_sign:
+                return False
+            even_sign = s
+        else:
+            if odd_sign and s != odd_sign:
+                return False
+            odd_sign = s
+    if even_sign and odd_sign and even_sign == odd_sign:
+        return False
+    return True
+
+
+def test_alternating_form_matches_sign_trackers():
+    """Every polynomial of up to 5 terms on a step-4 grid of exponents,
+    at residues 0 and 3, with coefficients +-1 and +-2, and every one of
+    up to 3 terms on a step-2 grid, whose residues may mix."""
+    grids = [range(-8, 16, 4), range(-5, 19, 4), range(0, 10, 2)]
+    checked = 0
+    for grid, most in zip(grids, (5, 5, 3)):
+        for size in range(most + 1):
+            for exps in itertools.combinations(grid, size):
+                for coeffs in itertools.product((1, -1, 2, -2), repeat=size):
+                    poly = LaurentPoly(dict(zip(exps, coeffs)))
+                    assert poly.is_alternating_form() == reference_is_alternating_form(poly), poly
+                    checked += 1
+    assert checked > 20_000
 
 
 def test_text_rendering():

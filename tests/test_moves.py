@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -8,6 +9,7 @@ from vknots.bracket import bracket, f_polynomial
 from vknots.diagram import (
     InapplicableMove,
     MoveKind,
+    _r3_admissible,
     apply_move,
     applicable_kinds,
     parse_gauss,
@@ -128,6 +130,28 @@ def test_r3_sites_and_involution():
         assert writhe(d2) == writhe(d)
         assert d2 != d
     assert found >= 5
+
+
+# The admissible R3 sign triples (sign r, sign q, sign p) as a table of
+# hand-derived configurations, keyed by (s1 meets r first, s2 meets p
+# first, s3 meets p first): two triples per key, one for each mirror image
+# of the triangle.  The reference for the rule ``_r3_admissible`` states.
+R3_SIGNS_TABLE = {
+    (True, True, True): ((1, 1, -1), (-1, -1, 1)),
+    (False, True, True): ((-1, -1, -1), (1, 1, 1)),
+    (True, False, True): ((-1, 1, 1), (1, -1, -1)),
+    (True, True, False): ((1, -1, 1), (-1, 1, -1)),
+    (False, False, True): ((1, -1, 1), (-1, 1, -1)),
+    (False, True, False): ((-1, 1, 1), (1, -1, -1)),
+    (True, False, False): ((-1, -1, -1), (1, 1, 1)),
+    (False, False, False): ((1, 1, -1), (-1, -1, 1)),
+}
+
+
+def test_r3_sign_rule_matches_table():
+    for key in itertools.product((True, False), repeat=3):
+        for signs in itertools.product((1, -1), repeat=3):
+            assert _r3_admissible(key, *signs) == (signs in R3_SIGNS_TABLE[key]), (key, signs)
 
 
 def test_r3_explicit_site_round_trip():
